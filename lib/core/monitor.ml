@@ -119,6 +119,12 @@ type t = {
   freed_pages : (int, int64 list ref) Hashtbl.t;
       (** per-CVM pages returned by the guest (relinquish), reused before
           the page cache *)
+  prezeroed : (int64, int) Hashtbl.t;
+      (** secure page -> its [Physmem.page_gen] right after the SM zeroed
+          it. The page is known-zero only while its generation is
+          unchanged: every write path bumps it, so a stale entry can
+          never vouch for a modified page. Volatile SM state, dropped by
+          [crash_reboot]. *)
   vcpu_seal : (int * int, int64) Hashtbl.t;
       (** (CVM id, vCPU) -> checksum of the secure vCPU taken at the last
           legitimate SM write; [audit] recomputes and compares *)
@@ -170,6 +176,7 @@ let create ?(config = default_config) machine =
       staged_reg = Hashtbl.create 8;
       page_owner = Hashtbl.create 1024;
       freed_pages = Hashtbl.create 8;
+      prezeroed = Hashtbl.create 1024;
       vcpu_seal = Hashtbl.create 8;
       entry_hist = [];
       exit_hist = [];
@@ -577,12 +584,11 @@ let long_path_exit_extra c =
    skipped PMP toggle (epoch cache) or a retained TLB costs nothing.
    The defaults describe the steady-state path of the configured mode,
    so [path_cost] stays honest in both. *)
-let entry_cost ?(pmp = true) ?tlb_flush t ~mmio ~validated_ptes =
-  let c = t.cost in
+let entry_cost ?(pmp = true) ?tlb_flush c cfg ~mmio ~validated_ptes =
   let tlb_flush =
     match tlb_flush with
     | Some f -> f
-    | None -> not t.cfg.tlb_retention
+    | None -> not cfg.tlb_retention
   in
   let base =
     c.Cost.trap_entry + c.Cost.gpr_all + c.Cost.csr_ctx_host
@@ -605,15 +611,14 @@ let entry_cost ?(pmp = true) ?tlb_flush t ~mmio ~validated_ptes =
         + (6 * c.Cost.secure_copy_item)
         + c.Cost.resume_merge
   in
-  let long = if t.cfg.long_path then long_path_entry_extra c else 0 in
+  let long = if cfg.long_path then long_path_entry_extra c else 0 in
   base + mmio_extra + long + (validated_ptes * 2)
 
-let exit_cost ?(pmp = true) ?tlb_flush t ~mmio =
-  let c = t.cost in
+let exit_cost ?(pmp = true) ?tlb_flush c cfg ~mmio =
   let tlb_flush =
     match tlb_flush with
     | Some f -> f
-    | None -> not t.cfg.tlb_retention
+    | None -> not cfg.tlb_retention
   in
   let base =
     c.Cost.trap_entry + c.Cost.gpr_all + c.Cost.csr_ctx_guest
@@ -633,33 +638,53 @@ let exit_cost ?(pmp = true) ?tlb_flush t ~mmio =
         + (8 * c.Cost.secure_copy_item)
         + c.Cost.unshared_validate
   in
-  let long = if t.cfg.long_path then long_path_exit_extra c else 0 in
+  let long = if cfg.long_path then long_path_exit_extra c else 0 in
   base + mmio_extra + long
 
-let fault_base_cost c =
-  c.Cost.trap_entry + c.Cost.sm_fault_decode + c.Cost.sm_fault_validate
-  + c.Cost.page_cache_alloc + c.Cost.page_scrub + (3 * c.Cost.page_walk_step)
-  + c.Cost.gstage_map + c.Cost.sm_fault_bookkeeping + c.Cost.xret
+(* Stage 3's extra over stage 2: the expansion round trip — exit to the
+   host, its registration work, the region setup (PMP resync plus the
+   global fence, on one hart) and the re-entry. Each part is charged
+   where it runs: cvm_exit, expand_host_work, sm_region_setup,
+   cvm_entry. *)
+let expansion_round_trip c cfg =
+  exit_cost c cfg ~mmio:No_mmio
+  + entry_cost c cfg ~mmio:No_mmio ~validated_ptes:0
+  + c.Cost.expand_host_work + c.Cost.pmp_toggle + c.Cost.pmp_toggle
+  + c.Cost.tlb_full_flush
 
-let fault_cost t stage =
-  let c = t.cost in
+(* One private fault, trap to xret. A page the SM already holds zeroed
+   ([prezeroed]) skips the scrub; stage 2 adds the block grab; stage 3
+   adds the expansion round trip. *)
+let fault_composition ?(prezeroed = false) c cfg stage =
+  let base =
+    c.Cost.trap_entry + c.Cost.sm_fault_decode + c.Cost.sm_fault_validate
+    + c.Cost.page_cache_alloc
+    + (if prezeroed then 0 else c.Cost.page_scrub)
+    + (3 * c.Cost.page_walk_step)
+    + c.Cost.gstage_map + c.Cost.sm_fault_bookkeeping + c.Cost.xret
+  in
   match stage with
-  | Hier_alloc.Stage1 -> fault_base_cost c
-  | Hier_alloc.Stage2 -> fault_base_cost c + c.Cost.block_grab
+  | Hier_alloc.Stage1 -> base
+  | Hier_alloc.Stage2 -> base + c.Cost.block_grab
   | Hier_alloc.Stage3_retry ->
-      fault_base_cost c + c.Cost.block_grab
-      + exit_cost t ~mmio:No_mmio
-      + entry_cost t ~mmio:No_mmio ~validated_ptes:0
-      + c.Cost.expand_host_work + c.Cost.pmp_toggle + c.Cost.pmp_toggle
-      + c.Cost.tlb_full_flush
+      base + c.Cost.block_grab + expansion_round_trip c cfg
+
+let fault_cost ?prezeroed t stage =
+  fault_composition ?prezeroed t.cost t.cfg stage
 
 (* ---------- host interface ---------- *)
 
 let register_secure_region_impl t ~base ~size =
   let bus = t.machine.Machine.bus in
   let last = Int64.add base (Int64.sub size 1L) in
-  if not (Bus.in_dram bus base && Bus.in_dram bus last) then
-    Error Ecall.Invalid_param
+  (* PMP capacity and NAPOT shape are checked before anything is
+     journaled or linked: a region the guard cannot program must never
+     reach the free list, where it would be allocatable yet open to HS. *)
+  if
+    not
+      (Bus.in_dram bus base && Bus.in_dram bus last
+      && Pmp_guard.can_add t.sm ~base ~size)
+  then Error Ecall.Invalid_param
   else begin
     let jr = Journal.append t.journal (Journal.Op_expand { base; size }) in
     match Secmem.register_region t.sm ~base ~size with
@@ -668,37 +693,30 @@ let register_secure_region_impl t ~base ~size =
         Error Ecall.Invalid_param
     | Ok blocks ->
         Journal.checkpoint t.journal jr "linked";
-        (match
-           let synced = ref 0 in
-           Array.iter
-             (fun hart ->
-               if Pmp_guard.sync_hart t.guard hart t.sm ~cvm_open:false
-               then incr synced)
-             t.machine.Machine.harts;
-           !synced
-         with
-        | synced ->
-            let nharts = Array.length t.machine.Machine.harts in
-            Pmp_guard.guard_iopmp t.guard (Bus.iopmp bus) t.sm;
-            (* Per-hart PMP resync + IOPMP programming + the mandatory
-               global fence on every hart (the paper keeps region
-               registration a full-flush point). Charged per hart so
-               the ledger agrees with the registry's flush count. *)
-            charge t "sm_region_setup"
-              ((synced * t.cost.Cost.pmp_toggle) + t.cost.Cost.pmp_toggle
-              + (nharts * t.cost.Cost.tlb_full_flush));
-            Array.iter
-              (fun hart ->
-                Tlb.flush_all hart.Hart.tlb;
-                Hart.invalidate_fast_path hart)
-              t.machine.Machine.harts;
-            if obs t then
-              Metrics.Registry.inc t.registry ~by:nharts "tlb.full_flush";
-            Journal.mark_done t.journal jr;
-            Ok blocks
-        | exception Invalid_argument _ ->
-            Journal.mark_done t.journal jr;
-            Error Ecall.Invalid_param)
+        let synced = ref 0 in
+        Array.iter
+          (fun hart ->
+            if Pmp_guard.sync_hart t.guard hart t.sm ~cvm_open:false then
+              incr synced)
+          t.machine.Machine.harts;
+        let nharts = Array.length t.machine.Machine.harts in
+        Pmp_guard.guard_iopmp t.guard (Bus.iopmp bus) t.sm;
+        (* Per-hart PMP resync + IOPMP programming + the mandatory
+           global fence on every hart (the paper keeps region
+           registration a full-flush point). Charged per hart so the
+           ledger agrees with the registry's flush count. *)
+        charge t "sm_region_setup"
+          ((!synced * t.cost.Cost.pmp_toggle) + t.cost.Cost.pmp_toggle
+          + (nharts * t.cost.Cost.tlb_full_flush));
+        Array.iter
+          (fun hart ->
+            Tlb.flush_all hart.Hart.tlb;
+            Hart.invalidate_fast_path hart)
+          t.machine.Machine.harts;
+        if obs t then
+          Metrics.Registry.inc t.registry ~by:nharts "tlb.full_flush";
+        Journal.mark_done t.journal jr;
+        Ok blocks
   end
 
 let register_secure_region t ~base ~size =
@@ -773,9 +791,38 @@ let create_cvm_impl t ~nvcpus ~entry_pc =
 let create_cvm t ~nvcpus ~entry_pc =
   host_call t "create_cvm" (fun () -> create_cvm_impl t ~nvcpus ~entry_pc)
 
-(* Allocate and map one private page; returns its physical address.
-   Pages the guest relinquished earlier are reused first — they are the
-   cheapest source, equivalent to a page-cache hit. *)
+(* ---------- scrub-once secure memory ---------- *)
+
+let dram_page t pa =
+  Physmem.page_handle (Bus.dram t.machine.Machine.bus)
+    (Int64.sub pa Bus.dram_base)
+
+let is_prezeroed t pa =
+  match Hashtbl.find_opt t.prezeroed pa with
+  | Some gen -> gen = Physmem.page_gen (dram_page t pa)
+  | None -> false
+
+(* The one place the SM zeroes a private page. A page the [prezeroed]
+   record vouches for is left alone; any other is zeroed. [keep] records
+   the page as clean afterwards (it stays in SM hands: scrubbed on
+   destroy or relinquish); without it the record is dropped, because the
+   page is being handed to a CVM. Returns whether the page was already
+   clean. *)
+let scrub_page t ~keep pa =
+  let clean = is_prezeroed t pa in
+  if not clean then
+    Physmem.zero_range
+      (Bus.dram t.machine.Machine.bus)
+      (Int64.sub pa Bus.dram_base) 4096L;
+  if keep then
+    Hashtbl.replace t.prezeroed pa (Physmem.page_gen (dram_page t pa))
+  else Hashtbl.remove t.prezeroed pa;
+  clean
+
+(* Allocate and map one private page; returns its physical address, the
+   serving stage and whether the page was already clean. Pages the guest
+   relinquished earlier are reused first — they are the cheapest source,
+   equivalent to a page-cache hit. *)
 let take_freed t cvm_id =
   match Hashtbl.find_opt t.freed_pages cvm_id with
   | Some ({ contents = pa :: rest } as r) ->
@@ -803,14 +850,12 @@ let provide_private_page t cvm cache ~gpa ~after_expand =
                "SM invariant violated: page 0x%Lx already owned by CVM %d" pa
                owner)
       | None -> ());
-      Physmem.zero_range
-        (Bus.dram t.machine.Machine.bus)
-        (Int64.sub pa Bus.dram_base) 4096L;
+      let prezeroed = scrub_page t ~keep:false pa in
       match Spt.map_private cvm.Cvm.spt ~gpa ~pa ~writable:true with
       | Error e -> Error (`Map_error e)
       | Ok () ->
           Hashtbl.replace t.page_owner pa cvm.Cvm.id;
-          Ok (pa, stage)
+          Ok (pa, stage, prezeroed)
     end
 
 let load_image_impl t ~cvm:id ~gpa data =
@@ -849,7 +894,7 @@ let load_image_impl t ~cvm:id ~gpa data =
                     provide_private_page t cvm cache ~gpa:page_gpa
                       ~after_expand:false
                   with
-                  | Ok (pa, _) -> Ok pa
+                  | Ok (pa, _, _) -> Ok pa
                   | Error `Need_expand -> Error Ecall.No_memory
                   | Error (`Map_error _) -> Error Ecall.Invalid_param
                 end
@@ -929,18 +974,19 @@ let destroy_replay ?record t cvm =
     | Some r -> Journal.checkpoint t.journal r label
     | None -> ()
   in
-  let bus = t.machine.Machine.bus in
   let was_destroyed = cvm.Cvm.state = Cvm.Destroyed in
   (* Channels die first, while both endpoints' page tables are still
      intact: the teardown's unmap writes table pages that the block
      scrubbing below is about to reclaim. *)
   chan_sweep_for ?record t id ~reason:"endpoint destroyed";
-  (* Scrub every owned page, drop ownership, return blocks. *)
+  (* Scrub every owned page, drop ownership, return blocks. Each page
+     is zeroed at most once on this path and recorded clean, so the
+     block scrub below and the next fault that hands it out skip it;
+     the modeled scrub charge stays per owned page. *)
   Hashtbl.iter
     (fun pa owner ->
       if owner = id then begin
-        Physmem.zero_range (Bus.dram bus) (Int64.sub pa Bus.dram_base)
-          4096L;
+        ignore (scrub_page t ~keep:true pa);
         charge t "sm_scrub" t.cost.Cost.page_scrub
       end)
     t.page_owner;
@@ -956,9 +1002,11 @@ let destroy_replay ?record t cvm =
       ignore
         (Hier_alloc.scrub_free
            ~zero:(fun ~base ~bytes ->
-             Physmem.zero_range (Bus.dram bus)
-               (Int64.sub base Bus.dram_base)
-               bytes)
+             for i = 0 to Int64.to_int (Int64.div bytes 4096L) - 1 do
+               ignore
+                 (scrub_page t ~keep:true
+                    (Int64.add base (Int64.of_int (i * 4096))))
+             done)
            t.sm blk))
     (Cvm.owned_blocks cvm);
   (* Drop every stale reference to the recycled blocks: the page
@@ -1448,7 +1496,7 @@ let build_cvm_from_image ?on_created t im ~state =
             match
               provide_private_page t cvm cache ~gpa ~after_expand:false
             with
-            | Ok (pa, _) ->
+            | Ok (pa, _, _) ->
                 Bus.write_bytes bus pa data;
                 restore rest
             | Error `Need_expand ->
@@ -1978,9 +2026,7 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
                 err Ecall.Not_found
             | Ok pa ->
                 Journal.checkpoint t.journal jr "unmapped";
-                Physmem.zero_range
-                  (Bus.dram t.machine.Machine.bus)
-                  (Int64.sub pa Bus.dram_base) 4096L;
+                ignore (scrub_page t ~keep:true pa);
                 charge t "sm_scrub" t.cost.Cost.page_scrub;
                 (* The guest VAs aliasing this page are unknown here
                    (with VS-stage paging a VA need not equal the GPA),
@@ -2150,7 +2196,9 @@ let world_switch_out t hart_id cvm vcpu_idx ~mmio_kind =
       true
     end
   in
-  let cycles = exit_cost ~pmp:pmp_work ~tlb_flush:flushed t ~mmio:mmio_kind in
+  let cycles =
+    exit_cost ~pmp:pmp_work ~tlb_flush:flushed t.cost t.cfg ~mmio:mmio_kind
+  in
   (* Trap.take already charged trap_entry when the guest trapped. *)
   let observing = obs t in
   if observing then
@@ -2183,8 +2231,11 @@ let resume_guest t hart ~skip =
   charge t "xret" t.cost.Cost.xret
 
 (* Handle a guest-page fault on a private GPA inside the SM.
-   Returns [Ok stage] or the exit the fault escalates to. *)
-type fault_outcome = Fault_served of Hier_alloc.stage | Fault_spurious
+   Returns the serving stage (and whether the page came prezeroed) or
+   the exit the fault escalates to. *)
+type fault_outcome =
+  | Fault_served of { stage : Hier_alloc.stage; prezeroed : bool }
+  | Fault_spurious
 
 let handle_private_fault t cvm vcpu_idx gpa =
   let key = (cvm.Cvm.id, vcpu_idx) in
@@ -2196,34 +2247,35 @@ let handle_private_fault t cvm vcpu_idx gpa =
   if Spt.lookup cvm.Cvm.spt ~gpa:page_gpa <> None then Ok Fault_spurious
   else
   match provide_private_page t cvm cache ~gpa:page_gpa ~after_expand with
-  | Ok (_, stage) ->
+  | Ok (_, stage, prezeroed) ->
       Hashtbl.remove t.expand_retry key;
-      Ok (Fault_served stage)
+      Ok (Fault_served { stage; prezeroed })
   | Error `Need_expand ->
       Hashtbl.replace t.expand_retry key ();
       Error (Exit_need_memory { bytes = Secmem.block_size t.sm })
   | Error (`Map_error e) -> Error (Exit_error e)
 
-let record_fault t cvm stage =
-  let cycles = fault_cost t stage in
-  (* The architectural trap already charged trap_entry; the stage-3
-     world-switch components are charged by the actual switch. *)
+let record_fault t cvm stage ~prezeroed =
+  let cycles = fault_cost ~prezeroed t stage in
+  (* The architectural trap already charged trap_entry; stage 3's round
+     trip was charged by the switches and the registration that ran it. *)
   let already =
     t.cost.Cost.trap_entry
     +
     match stage with
-    | Hier_alloc.Stage3_retry ->
-        exit_cost t ~mmio:No_mmio
-        + entry_cost t ~mmio:No_mmio ~validated_ptes:0
-        + t.cost.Cost.expand_host_work
+    | Hier_alloc.Stage3_retry -> expansion_round_trip t.cost t.cfg
     | Hier_alloc.Stage1 | Hier_alloc.Stage2 -> 0
   in
   charge t "sm_fault" (cycles - already);
   if obs t then begin
     let label = Hier_alloc.stage_to_string stage in
-    Metrics.Trace.instant t.trace ~cvm:cvm.Cvm.id ("fault." ^ label);
+    Metrics.Trace.instant t.trace ~cvm:cvm.Cvm.id
+      ~args:[ ("prezeroed", string_of_bool prezeroed) ]
+      ("fault." ^ label);
     let scope = Metrics.Registry.Cvm cvm.Cvm.id in
     Metrics.Registry.inc t.registry ~scope ("faults." ^ label);
+    if prezeroed then
+      Metrics.Registry.inc t.registry ~scope "faults.prezeroed";
     Metrics.Registry.observe t.registry ~scope "fault_cycles" cycles
   end;
   t.faults <- (stage, cycles) :: t.faults;
@@ -2364,7 +2416,7 @@ let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
                   Error Ecall.Denied
               | Ok validated -> begin
                 let ec =
-                  entry_cost ~pmp:pmp_work ~tlb_flush:flushed t
+                  entry_cost ~pmp:pmp_work ~tlb_flush:flushed t.cost t.cfg
                     ~mmio:!mmio_kind ~validated_ptes:validated
                 in
                 let observing = obs t in
@@ -2463,8 +2515,8 @@ let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
                         end
                         else if Layout.is_private_gpa gpa then begin
                           match handle_private_fault t cvm vcpu_idx gpa with
-                          | Ok (Fault_served stage) ->
-                              record_fault t cvm stage;
+                          | Ok (Fault_served { stage; prezeroed }) ->
+                              record_fault t cvm stage ~prezeroed;
                               resume_guest t hart ~skip:false;
                               loop (steps + 1)
                           | Ok Fault_spurious ->
@@ -2597,10 +2649,11 @@ let path_cost t path =
     if t.cfg.shared_vcpu then Shared_mmio else Unshared_mmio
   in
   match path with
-  | Entry_plain -> entry_cost t ~mmio:No_mmio ~validated_ptes:0
-  | Entry_with_mmio -> entry_cost t ~mmio:(mmio_kind ()) ~validated_ptes:0
-  | Exit_plain -> exit_cost t ~mmio:No_mmio
-  | Exit_with_mmio -> exit_cost t ~mmio:(mmio_kind ())
+  | Entry_plain -> entry_cost t.cost t.cfg ~mmio:No_mmio ~validated_ptes:0
+  | Entry_with_mmio ->
+      entry_cost t.cost t.cfg ~mmio:(mmio_kind ()) ~validated_ptes:0
+  | Exit_plain -> exit_cost t.cost t.cfg ~mmio:No_mmio
+  | Exit_with_mmio -> exit_cost t.cost t.cfg ~mmio:(mmio_kind ())
 
 let cvm_state t ~cvm:id =
   Option.map (fun c -> c.Cvm.state) (find_cvm t id)
@@ -2616,6 +2669,12 @@ let cvm_measurement t ~cvm:id =
 let entry_cycles t = t.entry_hist
 let exit_cycles t = t.exit_hist
 let fault_log t = t.faults
+
+let prezeroed_pages t =
+  Hashtbl.fold
+    (fun pa _ acc -> if is_prezeroed t pa then pa :: acc else acc)
+    t.prezeroed []
+  |> List.sort compare
 
 let alloc_stats t ~cvm:id =
   Option.map (fun c -> c.Cvm.alloc_stats) (find_cvm t id)
@@ -2999,6 +3058,43 @@ let audit t =
           fail "dead channel %d still holds ring page 0x%Lx" ch.ch_id pa
       | (Chan_revoked | Chan_degraded), None -> incr checked)
     t.channels;
+  (* 12. Scrub-once record. A record whose generation is still current
+     lets the next fault skip zeroing its page, so it must name an
+     unowned pool page — held by no CVM except as a relinquished page in
+     its owner's freed pool, mapped nowhere, neither a live page-table
+     page nor a channel ring — whose bytes are all zero. A record whose
+     generation moved vouches for nothing. *)
+  let relinquished = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun id l -> List.iter (fun pa -> Hashtbl.replace relinquished pa id) !l)
+    t.freed_pages;
+  let dram = Bus.dram t.machine.Machine.bus in
+  let zero_page = String.make 4096 '\000' in
+  Hashtbl.iter
+    (fun pa _ ->
+      if is_prezeroed t pa then begin
+        check (Secmem.contains t.sm pa)
+          "prezeroed page 0x%Lx lies outside the secure pool" pa;
+        (match Hashtbl.find_opt t.page_owner pa with
+        | Some owner ->
+            check
+              (Hashtbl.find_opt relinquished pa = Some owner)
+              "prezeroed page 0x%Lx is owned by CVM %d" pa owner
+        | None -> incr checked);
+        check
+          (not
+             (Hashtbl.mem seen_pa pa || Hashtbl.mem chan_ring pa
+            || Hashtbl.mem table_pages pa))
+          "prezeroed page 0x%Lx is mapped, a page table or a channel ring"
+          pa;
+        check
+          (Physmem.read_bytes dram (Int64.sub pa Bus.dram_base) 4096
+          = zero_page)
+          "prezeroed page 0x%Lx holds nonzero bytes at its recorded \
+           generation"
+          pa
+      end)
+    t.prezeroed;
   if !findings = [] then Ok !checked else Error (List.rev !findings)
 
 (* ---------- crash consistency: reboot + journal recovery ---------- *)
@@ -3052,6 +3148,10 @@ let crash_reboot t =
   Hashtbl.reset t.expand_retry;
   Hashtbl.reset t.staged_reg;
   Hashtbl.reset t.last_seen;
+  (* The clean-page record is SM scratch: after a reboot nothing vouches
+     for any page, so recovery and the faults after it zero every page
+     they touch. *)
+  Hashtbl.reset t.prezeroed;
   Metrics.Registry.inc t.registry "sm.crash_reboot"
 
 type recovery_report = {

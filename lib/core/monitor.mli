@@ -438,6 +438,17 @@ val path_cost : t -> path -> int
     current configuration — the same compositions charged by
     [run_vcpu], exported for the macro-benchmark event model. *)
 
+val fault_composition :
+  ?prezeroed:bool -> Riscv.Cost.t -> config -> Hier_alloc.stage -> int
+(** Modeled cycle cost of one private-page fault served at a stage, from
+    the trap to the [xret] (DESIGN.md §5): the one composition the fault
+    handler charges and the ablations price with. [prezeroed] (default
+    [false]) drops [page_scrub]: the SM already holds the page zeroed.
+    Stage 3 includes the expansion round trip under [config]. *)
+
+val fault_cost : ?prezeroed:bool -> t -> Hier_alloc.stage -> int
+(** [fault_composition] under the monitor's own cost table and config. *)
+
 val cvm_state : t -> cvm:int -> Cvm.state option
 val cvm_count : t -> int
 val cvm_measurement : t -> cvm:int -> string option
@@ -458,7 +469,15 @@ val entry_cycles : t -> int list
 val exit_cycles : t -> int list
 
 val fault_log : t -> (Hier_alloc.stage * int) list
-(** (stage, cycles) per stage-2 fault handled, most recent first. *)
+(** (stage, cycles) per private-page fault served, most recent first.
+    A fault on a page the SM already held zeroed costs [page_scrub]
+    less than the calibrated stage value. *)
+
+val prezeroed_pages : t -> int64 list
+(** Secure pages the SM currently holds zeroed, ascending: those it
+    zeroed on destroy or relinquish whose [Physmem] write generation has
+    not moved since. The next fault that hands one out skips the scrub
+    and is charged [page_scrub] less. *)
 
 val alloc_stats : t -> cvm:int -> Hier_alloc.stats option
 val reset_stats : t -> unit
@@ -502,7 +521,11 @@ val audit : t -> (int, string list) result
       and is mapped at its slot GPA by exactly the two endpoints iff
       established (by nobody while offered); no live channel keeps a
       destroyed or quarantined endpoint reachable; dead channels hold
-      no page.
+      no page;
+    - scrub-once record: every page the SM records as zeroed, while its
+      [Physmem] write generation is unchanged, is an unowned pool page
+      (at most relinquished to its owner's freed pool) that nothing
+      maps, and all its bytes are zero.
 
     Returns the number of facts checked, or the list of violations.
     Tests call this after every adversarial scenario; a violation means
@@ -534,7 +557,9 @@ val crash_reboot : t -> unit
 (** Model a host/SM crash-and-reboot on this monitor: wipe everything
     volatile — hart PMP/TLB/delegation/translation CSRs, saved host
     contexts, IOPMP device registers, the PMP guard's epoch caches,
-    pending-MMIO and expansion scratch tables — while everything
+    pending-MMIO and expansion scratch tables, the record of pages the
+    SM holds zeroed (so recovery and the faults after it zero every page
+    they touch) — while everything
     durable (secure pool, CVM table, page ownership, sessions, vCPU
     seals, freed-page pools, the journal) survives. The machine is left
     in the powered-on-but-unconfigured state [recover] expects; running

@@ -49,6 +49,11 @@ let check_region (base, size) =
   if Int64.rem base size <> 0L then
     invalid_arg "Pmp_guard: region base must be size-aligned"
 
+let can_add secmem ~base ~size =
+  List.length (Secmem.regions secmem) < max_regions
+  && is_pow2 size
+  && Int64.rem base size = 0L
+
 (* A hart is current when its entries were written at the live region
    epoch and already grant the wanted world. *)
 let hart_current t hart_id ~cvm_open =

@@ -29,6 +29,12 @@ val max_regions : int
 (** Pool regions representable before PMP entries run out (14: entry 15
     is the backdrop and entry 14 is kept in reserve for firmware). *)
 
+val can_add : Secmem.t -> base:int64 -> size:int64 -> bool
+(** Would the pool still be programmable with this region added: a free
+    PMP entry left under [max_regions], and the region NAPOT-encodable?
+    The monitor checks this before it journals or links anything, so a
+    refused region never reaches the allocator. *)
+
 val sync_hart : t -> Riscv.Hart.t -> Secmem.t -> cvm_open:bool -> bool
 (** Program all pool regions into the hart's PMP, with permissions
     according to [cvm_open], plus the backdrop entry. Returns whether

@@ -4,16 +4,12 @@ type block_size_point = {
   avg_fault_cycles : float;
 }
 
-(* Fault-cost compositions shared with the monitor (same constants). *)
-let stage1_cost (c : Riscv.Cost.t) =
-  c.Riscv.Cost.trap_entry + c.Riscv.Cost.sm_fault_decode
-  + c.Riscv.Cost.sm_fault_validate + c.Riscv.Cost.page_cache_alloc
-  + c.Riscv.Cost.page_scrub
-  + (3 * c.Riscv.Cost.page_walk_step)
-  + c.Riscv.Cost.gstage_map + c.Riscv.Cost.sm_fault_bookkeeping
-  + c.Riscv.Cost.xret
+(* The monitor's own fault-cost composition, on a fresh (dirty) pool. *)
+let stage_cost c stage =
+  Zion.Monitor.fault_composition c Zion.Monitor.default_config stage
 
-let stage2_cost c = stage1_cost c + c.Riscv.Cost.block_grab
+let stage1_cost c = stage_cost c Zion.Hier_alloc.Stage1
+let stage2_cost c = stage_cost c Zion.Hier_alloc.Stage2
 
 let block_size_sweep ?(pages = 512) () =
   let c = Riscv.Cost.default in

@@ -54,19 +54,13 @@ let add_faults t ~pages =
         in
         t.fault <- t.fault +. (float_of_int pages *. float_of_int kvm)
     | Confidential ->
-        let base =
-          c.Riscv.Cost.trap_entry + c.Riscv.Cost.sm_fault_decode
-          + c.Riscv.Cost.sm_fault_validate + c.Riscv.Cost.page_cache_alloc
-          + c.Riscv.Cost.page_scrub
-          + (3 * c.Riscv.Cost.page_walk_step)
-          + c.Riscv.Cost.gstage_map + c.Riscv.Cost.sm_fault_bookkeeping
-          + c.Riscv.Cost.xret
-        in
+        (* the monitor's own composition, on a fresh (dirty) pool *)
+        let stage s = float_of_int (Zion.Monitor.fault_cost t.monitor s) in
         let block_grabs = pages / 64 in
         t.fault <-
           t.fault
-          +. (float_of_int pages *. float_of_int base)
-          +. (float_of_int block_grabs *. float_of_int c.Riscv.Cost.block_grab)
+          +. float_of_int (pages - block_grabs) *. stage Zion.Hier_alloc.Stage1
+          +. (float_of_int block_grabs *. stage Zion.Hier_alloc.Stage2)
   end
 
 let switch_refill t = Workloads.Opcount.refill_cycles t.cost t.locality
