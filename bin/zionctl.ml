@@ -421,7 +421,8 @@ let fuzz_cmd =
              SM-crash sweep: kill the Secure Monitor at every \
              write-ahead-journal point of every journaled operation, \
              recover, and verify convergence (clean audit, idempotent \
-             re-recovery, pool drains to all-free). Deterministic; \
+             re-recovery, pool drains to all-free, and roll-forward \
+             calls reach the uncrashed run's durable state). Deterministic; \
              ignores $(b,--seed) and $(b,--iters).")
   in
   let run_sm_crash json_out =

@@ -2,7 +2,8 @@
 
     Every multi-step state transition in [Monitor] — CVM create and
     image load, pool expansion, guest relinquish, destroy, quarantine,
-    and the migration-session transitions — appends a typed {e intent}
+    the migration-session transitions, and channel grant, accept and
+    revoke (or degradation) — appends a typed {e intent}
     record before its first durable mutation and marks it {e done} after
     the last. The journal models the small battle-tested NVRAM region a
     real monitor would keep next to its session table: it survives a
@@ -12,10 +13,11 @@
     On restart, [Monitor.recover] replays every still-pending record:
     roll {e forward} for operations whose completion is derivable from
     durable state alone (destroy, relinquish, quarantine, pool growth,
-    migration commits — all replay steps are idempotent), roll {e back}
-    for operations whose inputs lived in untrusted volatile memory
-    (create, load, prepare, import — the half-built object is scrubbed
-    and reclaimed). Either way the monitor converges to a state where
+    migration decisions, channel revoke — replay calls the very
+    transition body the live call ran, and every body is idempotent),
+    roll {e back} for operations whose inputs lived in untrusted
+    volatile memory (create, load, prepare, import, channel grant and
+    accept — the half-built object is scrubbed and reclaimed). Either way the monitor converges to a state where
     [Monitor.audit] is clean and exactly-one-owner holds.
 
     {2 Journal points and the crash model}

@@ -393,6 +393,13 @@ let host_call t name ?cvm f =
 
 let find_cvm t id = Hashtbl.find_opt t.cvms id
 
+(* A CVM whose tables and pages are still its own. A destroyed CVM's
+   tables are reclaimed memory and must never be written again. *)
+let find_alive t id =
+  match find_cvm t id with
+  | Some cvm when cvm.Cvm.state <> Cvm.Destroyed -> Some cvm
+  | _ -> None
+
 (* Precise cross-hart shootdown: drop one VMID's translations from every
    hart's TLB — the VMID-tagged hfence.gvma. Used wherever a whole
    guest-physical space dies at once (destroy, quarantine, migrate-out
@@ -434,38 +441,31 @@ let chan_endpoint_live (cvm : Cvm.t) =
 let chan_counter t ~cvm name =
   Metrics.Registry.inc t.registry ~scope:(Metrics.Registry.Cvm cvm) name
 
-(* Idempotent channel teardown: drop the slot mapping from both
+(* Drop the slot mapping from both endpoints wherever it still points at
+   the ring page [pa]. *)
+let chan_unmap_slot t ch pa =
+  List.iter
+    (fun id ->
+      match find_alive t id with
+      | Some cvm when Spt.lookup cvm.Cvm.spt ~gpa:ch.ch_gpa = Some pa ->
+          ignore (Spt.unmap_private cvm.Cvm.spt ~gpa:ch.ch_gpa)
+      | _ -> ())
+    [ ch.ch_a; ch.ch_b ]
+
+(* The channel teardown body (revoke, degrade, and the implicit revokes
+   of destroy/quarantine/migrate-out): drop the slot mapping from both
    endpoints, scrub the ring page, shoot it down precisely on both
-   VMIDs, and return the block to the pool. Recovery and the
-   destroy/quarantine sweeps re-run this from any torn intermediate
-   state, so every step tolerates having already happened. [record],
-   when given, interleaves the checkpoints that make the intermediate
-   states reachable crash points. *)
-let chan_teardown ?record t ch ~phase ~reason =
+   VMIDs, and return the block to the pool. Live calls and recovery run
+   it alike, from any torn state, so every step tolerates having already
+   happened; [record] receives the checkpoints that make the
+   intermediate states reachable crash points. *)
+let chan_teardown ~record t ch ~phase ~reason =
   if chan_live ch then begin
-    let ckpt label =
-      match record with
-      | Some r -> Journal.checkpoint t.journal r label
-      | None -> ()
-    in
     (match ch.ch_page with
      | None -> ()
      | Some pa ->
-         let unmap id =
-           match find_cvm t id with
-           | Some cvm when cvm.Cvm.state <> Cvm.Destroyed -> (
-               (* Only drop the slot while it still points at the ring:
-                  a destroyed endpoint's tables are already reclaimed
-                  memory and must not be written. *)
-               match Spt.lookup cvm.Cvm.spt ~gpa:ch.ch_gpa with
-               | Some pa' when pa' = pa ->
-                   ignore (Spt.unmap_private cvm.Cvm.spt ~gpa:ch.ch_gpa)
-               | _ -> ())
-           | _ -> ()
-         in
-         unmap ch.ch_a;
-         unmap ch.ch_b;
-         ckpt "chan-unmapped";
+         chan_unmap_slot t ch pa;
+         Journal.checkpoint t.journal record "chan-unmapped";
          Physmem.zero_range
            (Bus.dram t.machine.Machine.bus)
            (Int64.sub pa Bus.dram_base)
@@ -482,7 +482,7 @@ let chan_teardown ?record t ch ~phase ~reason =
            harts;
          charge t "sm_shootdown"
            (2 * Array.length harts * t.cost.Cost.tlb_vmid_flush);
-         ckpt "chan-scrubbed";
+         Journal.checkpoint t.journal record "chan-scrubbed";
          if not (Secmem.is_free_base t.sm pa) then
            ignore (Hier_alloc.reclaim_base t.sm ~base:pa);
          ch.ch_page <- None);
@@ -494,14 +494,25 @@ let chan_teardown ?record t ch ~phase ~reason =
         "chan.teardown"
   end
 
+(* Roll a channel back to the offered state: whichever slot mappings
+   landed are removed and the delivery shadows reset. TLBs are cold
+   after a reboot and the live caller never published the mapping, so
+   no shootdown is owed. *)
+let chan_unaccept t ch =
+  Option.iter (chan_unmap_slot t ch) ch.ch_page;
+  ch.ch_phase <- Chan_offered;
+  ch.ch_seq_ab <- 0L;
+  ch.ch_seq_ba <- 0L;
+  ch.ch_strikes <- 0
+
 (* Implicit revoke: every live channel touching [id] dies with it. Runs
    inside the caller's journal window (destroy, quarantine, migrate-out
    commit), so replaying the enclosing record re-runs the sweep. *)
-let chan_sweep_for ?record t id ~reason =
+let chan_sweep_for ~record t id ~reason =
   Hashtbl.iter
     (fun _ ch ->
       if chan_live ch && (ch.ch_a = id || ch.ch_b = id) then begin
-        chan_teardown ?record t ch ~phase:Chan_revoked ~reason;
+        chan_teardown ~record t ch ~phase:Chan_revoked ~reason;
         chan_counter t ~cvm:id "sm.chan.revokes"
       end)
     t.channels
@@ -536,10 +547,25 @@ let seal_all_vcpus t cvm =
     seal_vcpu t cvm i
   done
 
-(* A host protocol violation: park the CVM in [Quarantined] (only
-   destruction is accepted from there) and disown the hypervisor's
-   shared subtree so the hostile mappings drop out of the CVM's
-   guest-physical space. *)
+(* The quarantine body: park the CVM in [Quarantined] (only destruction
+   is accepted from there) and disown the hypervisor's shared subtree so
+   the hostile mappings drop out of the CVM's guest-physical space. *)
+let quarantine_body ~record t cvm ~reason =
+  if cvm.Cvm.state <> Cvm.Quarantined then begin
+    cvm.Cvm.state <- Cvm.Quarantined;
+    Metrics.Registry.inc t.registry "cvm.quarantined"
+  end;
+  cvm.Cvm.quarantine_reason <- Some reason;
+  Journal.checkpoint t.journal record "parked";
+  Spt.clear_shared_root cvm.Cvm.spt;
+  (* The CVM will never legitimately run again, so no hart may keep
+     translating its guest-physical space. *)
+  shootdown_vmid t ~vmid:cvm.Cvm.id ~reason:"quarantine";
+  (* A quarantined endpoint also forfeits its channels: the peer must
+     not keep a window into a parked, possibly-hostile VM. *)
+  chan_sweep_for ~record t cvm.Cvm.id ~reason:"endpoint quarantined"
+
+(* A host protocol violation. *)
 let quarantine t cvm ~reason =
   if cvm.Cvm.state <> Cvm.Destroyed && cvm.Cvm.state <> Cvm.Quarantined
   then begin
@@ -547,17 +573,7 @@ let quarantine t cvm ~reason =
       Journal.append t.journal
         (Journal.Op_quarantine { cvm = cvm.Cvm.id; reason })
     in
-    cvm.Cvm.state <- Cvm.Quarantined;
-    cvm.Cvm.quarantine_reason <- Some reason;
-    Journal.checkpoint t.journal jr "parked";
-    Spt.clear_shared_root cvm.Cvm.spt;
-    (* The CVM will never legitimately run again, so no hart may keep
-       translating its guest-physical space. *)
-    shootdown_vmid t ~vmid:cvm.Cvm.id ~reason:"quarantine";
-    (* A quarantined endpoint also forfeits its channels: the peer must
-       not keep a window into a parked, possibly-hostile VM. *)
-    chan_sweep_for ~record:jr t cvm.Cvm.id ~reason:"endpoint quarantined";
-    Metrics.Registry.inc t.registry "cvm.quarantined";
+    quarantine_body ~record:jr t cvm ~reason;
     if obs t then
       Metrics.Trace.instant t.trace ~cvm:cvm.Cvm.id
         ~args:[ ("reason", reason) ]
@@ -830,6 +846,32 @@ let take_freed t cvm_id =
       Some pa
   | Some { contents = [] } | None -> None
 
+(* The relinquish body, shared by the guest ecall and recovery: unmap
+   [gpa] while it still maps [pa], scrub the page, shoot it down, and
+   pool it for this CVM's future faults exactly once. *)
+let relinquish_body ~record t cvm ~gpa ~pa =
+  let id = cvm.Cvm.id in
+  if Spt.lookup cvm.Cvm.spt ~gpa = Some pa then
+    ignore (Spt.unmap_private cvm.Cvm.spt ~gpa);
+  Journal.checkpoint t.journal record "unmapped";
+  ignore (scrub_page t ~keep:true pa);
+  charge t "sm_scrub" t.cost.Cost.page_scrub;
+  (* The guest VAs aliasing this page are unknown here (with VS-stage
+     paging a VA need not equal the GPA), and other harts may retain the
+     translation too: shoot down by physical page, scoped to this CVM,
+     on every hart. *)
+  Array.iter
+    (fun h ->
+      Tlb.flush_pa ~vmid:id h.Hart.tlb pa;
+      Hart.invalidate_fast_path h)
+    t.machine.Machine.harts;
+  charge t "sm_shootdown"
+    (Array.length t.machine.Machine.harts * t.cost.Cost.tlb_vmid_flush);
+  Journal.checkpoint t.journal record "scrubbed";
+  match Hashtbl.find_opt t.freed_pages id with
+  | Some r -> if not (List.mem pa !r) then r := pa :: !r
+  | None -> Hashtbl.add t.freed_pages id (ref [ pa ])
+
 let provide_private_page t cvm cache ~gpa ~after_expand =
   let alloc_outcome =
     match take_freed t cvm.Cvm.id with
@@ -962,23 +1004,18 @@ let install_shared t ~cvm:id ~table_pa =
             | Error _ -> Error Ecall.Denied
           end)
 
-(* The destroy state machine, factored so recovery can replay it: every
+(* The destroy body, run by [destroy_cvm] and by recovery alike: every
    step is idempotent (a second pass scrubs zero pages, frees zero
    blocks, flips no counter), so a crash anywhere inside converges by
-   simply running it again. [record], when given, receives progress
-   checkpoints — the crash points a sweep visits. *)
-let destroy_replay ?record t cvm =
+   simply running it again. [record] receives progress checkpoints —
+   the crash points a sweep visits. *)
+let destroy_body ~record t cvm =
   let id = cvm.Cvm.id in
-  let ckpt label =
-    match record with
-    | Some r -> Journal.checkpoint t.journal r label
-    | None -> ()
-  in
   let was_destroyed = cvm.Cvm.state = Cvm.Destroyed in
   (* Channels die first, while both endpoints' page tables are still
      intact: the teardown's unmap writes table pages that the block
      scrubbing below is about to reclaim. *)
-  chan_sweep_for ?record t id ~reason:"endpoint destroyed";
+  chan_sweep_for ~record t id ~reason:"endpoint destroyed";
   (* Scrub every owned page, drop ownership, return blocks. Each page
      is zeroed at most once on this path and recorded clean, so the
      block scrub below and the next fault that hands it out skip it;
@@ -996,7 +1033,7 @@ let destroy_replay ?record t cvm =
   (* Unlink the hypervisor subtree while the root table is still
      live, then scrub and return every block. *)
   Spt.clear_shared_root cvm.Cvm.spt;
-  ckpt "scrubbed";
+  Journal.checkpoint t.journal record "scrubbed";
   List.iter
     (fun blk ->
       ignore
@@ -1018,7 +1055,7 @@ let destroy_replay ?record t cvm =
   Hashtbl.remove t.freed_pages id;
   cvm.Cvm.state <- Cvm.Destroyed;
   if not was_destroyed then Metrics.Registry.inc t.registry "cvm.destroyed";
-  ckpt "reclaimed";
+  Journal.checkpoint t.journal record "reclaimed";
   (* Every hart that ever ran this CVM may retain translations into
      the just-freed blocks; without this shootdown the next owner of
      those blocks inherits them (covers migrate_out_commit too,
@@ -1049,7 +1086,7 @@ let destroy_cvm_impl t ~cvm:id =
   | Some cvm when cvm.Cvm.state = Cvm.Destroyed -> Error Ecall.Bad_state
   | Some cvm ->
       let jr = Journal.append t.journal (Journal.Op_destroy { cvm = id }) in
-      destroy_replay ~record:jr t cvm;
+      destroy_body ~record:jr t cvm;
       Journal.mark_done t.journal jr;
       Ok ()
 
@@ -1255,9 +1292,7 @@ let chan_accept_impl t ~chan ~cvm:b_id ~nonce ~expect =
                                     ~pa ~writable:true
                                 with
                                 | Error _ ->
-                                    ignore
-                                      (Spt.unmap_private a.Cvm.spt
-                                         ~gpa:ch.ch_gpa);
+                                    chan_unaccept t ch;
                                     Journal.mark_done t.journal jr;
                                     Error Ecall.No_memory
                                 | Ok () ->
@@ -1638,6 +1673,20 @@ let migrate_out_begin ?(budget = default_retry_budget) t ~cvm ~session =
   host_call t "migrate_out_begin" ~cvm (fun () ->
       migrate_out_begin_impl t ~cvm ~session ~budget)
 
+(* The migrate-out abort body: reactivate the source — it stays the one
+   owner, but in a fresh epoch, so reports minted while the migration
+   was pending do not outlive it — then retire the session. The
+   reactivation and the epoch bump are one durable step, so a replay
+   after it finds the CVM no longer [Migrating_out] and bumps nothing. *)
+let out_abort_body ~record t s =
+  (match Option.bind s.mg_cvm (find_cvm t) with
+  | Some cvm when cvm.Cvm.state = Cvm.Migrating_out ->
+      cvm.Cvm.state <- Cvm.Suspended;
+      cvm.Cvm.epoch <- cvm.Cvm.epoch + 1
+  | _ -> ());
+  Journal.checkpoint t.journal record "released";
+  s.mg_phase <- Mig_aborted
+
 let migrate_out_abort t ~session =
   host_call t "migrate_out_abort" (fun () ->
       match find_session t Mig_out session with
@@ -1648,28 +1697,23 @@ let migrate_out_abort t ~session =
           | Mig_committed -> Error Ecall.Bad_state
           | Mig_aborted -> Ok ()
           | Mig_active ->
-              let jr =
+              let record =
                 Journal.append t.journal
                   (Journal.Op_mig_out_abort { session })
               in
-              (match s.mg_cvm with
-              | Some id -> begin
-                  match find_cvm t id with
-                  | Some cvm when cvm.Cvm.state = Cvm.Migrating_out ->
-                      (* reactivate: the source stays the one owner —
-                         but in a fresh epoch, so reports minted while
-                         the migration was pending do not outlive it *)
-                      cvm.Cvm.state <- Cvm.Suspended;
-                      cvm.Cvm.epoch <- cvm.Cvm.epoch + 1
-                  | _ -> ()
-                end
-              | None -> ());
-              Journal.checkpoint t.journal jr "released";
-              s.mg_phase <- Mig_aborted;
+              out_abort_body ~record t s;
               Metrics.Registry.inc t.registry "migrate.out_abort";
-              Journal.mark_done t.journal jr;
+              Journal.mark_done t.journal record;
               Ok ()
         end)
+
+(* The migrate-out commit body. Flip the session first so the destroy
+   sweep leaves it Committed, then scrub the source instance through its
+   own journaled destroy (a no-op once the CVM is gone). *)
+let out_commit_body ~record t s =
+  s.mg_phase <- Mig_committed;
+  Journal.checkpoint t.journal record "committed";
+  Option.iter (fun id -> ignore (destroy_cvm_impl t ~cvm:id)) s.mg_cvm
 
 let migrate_out_commit t ~session =
   host_call t "migrate_out_commit" (fun () ->
@@ -1679,27 +1723,20 @@ let migrate_out_commit t ~session =
           match s.mg_phase with
           | Mig_aborted -> Error Ecall.Bad_state
           | Mig_committed -> Ok ()  (* idempotent: recovery retries land here *)
-          | Mig_active -> begin
-              match s.mg_cvm with
-              | None -> Error Ecall.Bad_state
-              | Some id ->
-                  (* The commit point of the whole handoff: once the
-                     intent lands the decision is irrevocable — recovery
-                     rolls it forward even if the crash struck before
-                     the phase flip below. Flip the session first so the
-                     destroy sweep leaves it Committed, then scrub the
-                     source instance. *)
-                  let jr =
-                    Journal.append t.journal
-                      (Journal.Op_mig_out_commit { session })
-                  in
-                  s.mg_phase <- Mig_committed;
-                  Journal.checkpoint t.journal jr "committed";
-                  ignore (destroy_cvm_impl t ~cvm:id);
-                  Metrics.Registry.inc t.registry "migrate.out_commit";
-                  Journal.mark_done t.journal jr;
-                  Ok ()
-            end
+          | Mig_active when s.mg_cvm = None -> Error Ecall.Bad_state
+          | Mig_active ->
+              (* The commit point of the whole handoff: once the intent
+                 lands the decision is irrevocable — recovery rolls it
+                 forward even if the crash struck before the phase
+                 flip. *)
+              let record =
+                Journal.append t.journal
+                  (Journal.Op_mig_out_commit { session })
+              in
+              out_commit_body ~record t s;
+              Metrics.Registry.inc t.registry "migrate.out_commit";
+              Journal.mark_done t.journal record;
+              Ok ()
         end)
 
 let migrate_in_prepare t ~session ~epoch blob =
@@ -1774,42 +1811,46 @@ let migrate_in_prepare t ~session ~epoch blob =
               end
           end)
 
+(* The migrate-in commit body: two durable flips. A crash between them
+   would leave a Suspended CVM pinned by an Active session (the §8 audit
+   violation), so both sides of the gap are journal points and a replay
+   finishes whichever flip is missing. *)
+let in_commit_body ~record t s cvm =
+  if cvm.Cvm.state = Cvm.Migrating_in then cvm.Cvm.state <- Cvm.Suspended;
+  Journal.checkpoint t.journal record "activated";
+  s.mg_phase <- Mig_committed
+
 let migrate_in_commit t ~session =
   host_call t "migrate_in_commit" (fun () ->
       match find_session t Mig_in session with
       | None -> Error Ecall.Not_found
       | Some s -> begin
-          match s.mg_phase with
-          | Mig_aborted -> Error Ecall.Bad_state
-          | Mig_committed -> begin
-              match s.mg_cvm with
-              | Some id -> Ok id  (* idempotent *)
-              | None -> Error Ecall.Bad_state
-            end
-          | Mig_active -> begin
-              match s.mg_cvm with
-              | None -> Error Ecall.Bad_state
-              | Some id -> begin
-                  match find_cvm t id with
-                  | Some cvm when cvm.Cvm.state = Cvm.Migrating_in ->
-                      (* Two durable flips; a crash between them would
-                         leave a Suspended CVM pinned by an Active
-                         session (the §8 audit violation), so both sides
-                         of the gap are journal points recovery closes. *)
-                      let jr =
-                        Journal.append t.journal
-                          (Journal.Op_mig_in_commit { session })
-                      in
-                      cvm.Cvm.state <- Cvm.Suspended;
-                      Journal.checkpoint t.journal jr "activated";
-                      s.mg_phase <- Mig_committed;
-                      Metrics.Registry.inc t.registry "migrate.in_commit";
-                      Journal.mark_done t.journal jr;
-                      Ok id
-                  | _ -> Error Ecall.Bad_state
-                end
+          match (s.mg_phase, s.mg_cvm) with
+          | Mig_aborted, _ | _, None -> Error Ecall.Bad_state
+          | Mig_committed, Some id -> Ok id  (* idempotent *)
+          | Mig_active, Some id -> begin
+              match find_cvm t id with
+              | Some cvm when cvm.Cvm.state = Cvm.Migrating_in ->
+                  let record =
+                    Journal.append t.journal
+                      (Journal.Op_mig_in_commit { session })
+                  in
+                  in_commit_body ~record t s cvm;
+                  Metrics.Registry.inc t.registry "migrate.in_commit";
+                  Journal.mark_done t.journal record;
+                  Ok id
+              | _ -> Error Ecall.Bad_state
             end
         end)
+
+(* The migrate-in abort body: scrub the prepared instance through its
+   own journaled destroy (a no-op once it is gone), then retire the
+   session. *)
+let in_abort_body ~record t s =
+  Option.iter (fun id -> ignore (destroy_cvm_impl t ~cvm:id)) s.mg_cvm;
+  Journal.checkpoint t.journal record "scrubbed";
+  s.mg_phase <- Mig_aborted;
+  s.mg_cvm <- None
 
 let migrate_in_abort t ~session =
   host_call t "migrate_in_abort" (fun () ->
@@ -1822,17 +1863,12 @@ let migrate_in_abort t ~session =
           | Mig_committed -> Error Ecall.Bad_state
           | Mig_aborted -> Ok ()
           | Mig_active ->
-              let jr =
+              let record =
                 Journal.append t.journal (Journal.Op_mig_in_abort { session })
               in
-              (match s.mg_cvm with
-              | Some id -> ignore (destroy_cvm_impl t ~cvm:id)
-              | None -> ());
-              Journal.checkpoint t.journal jr "scrubbed";
-              s.mg_phase <- Mig_aborted;
-              s.mg_cvm <- None;
+              in_abort_body ~record t s;
               Metrics.Registry.inc t.registry "migrate.in_abort";
-              Journal.mark_done t.journal jr;
+              Journal.mark_done t.journal record;
               Ok ()
         end)
 
@@ -2015,39 +2051,14 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
            the mapping is already gone. *)
         match Spt.lookup cvm.Cvm.spt ~gpa with
         | None -> err Ecall.Not_found
-        | Some pa -> begin
-            let jr =
+        | Some pa ->
+            let record =
               Journal.append t.journal
                 (Journal.Op_relinquish { cvm = cvm.Cvm.id; gpa; pa })
             in
-            match Spt.unmap_private cvm.Cvm.spt ~gpa with
-            | Error _ ->
-                Journal.mark_done t.journal jr;
-                err Ecall.Not_found
-            | Ok pa ->
-                Journal.checkpoint t.journal jr "unmapped";
-                ignore (scrub_page t ~keep:true pa);
-                charge t "sm_scrub" t.cost.Cost.page_scrub;
-                (* The guest VAs aliasing this page are unknown here
-                   (with VS-stage paging a VA need not equal the GPA),
-                   and other harts may retain the translation too: shoot
-                   down by physical page, scoped to this CVM, on every
-                   hart. *)
-                Array.iter
-                  (fun h ->
-                    Tlb.flush_pa ~vmid:cvm.Cvm.id h.Hart.tlb pa;
-                    Hart.invalidate_fast_path h)
-                  t.machine.Machine.harts;
-                charge t "sm_shootdown"
-                  (Array.length t.machine.Machine.harts
-                  * t.cost.Cost.tlb_vmid_flush);
-                Journal.checkpoint t.journal jr "scrubbed";
-                (match Hashtbl.find_opt t.freed_pages cvm.Cvm.id with
-                | Some r -> r := pa :: !r
-                | None -> Hashtbl.add t.freed_pages cvm.Cvm.id (ref [ pa ]));
-                Journal.mark_done t.journal jr;
-                ok ()
-          end
+            relinquish_body ~record t cvm ~gpa ~pa;
+            Journal.mark_done t.journal record;
+            ok ()
       end
     end
     else if a6 = Ecall.fid_guest_chan_send then begin
@@ -3097,6 +3108,44 @@ let audit t =
     t.prezeroed;
   if !findings = [] then Ok !checked else Error (List.rev !findings)
 
+(* One sorted line per durable fact; see the interface for what is in
+   and out. *)
+let durable_digest t =
+  let rows tbl f =
+    List.sort compare (Hashtbl.fold (fun k v acc -> f k v :: acc) tbl [])
+  in
+  let opt f = function Some v -> f v | None -> "-" in
+  let hex = Printf.sprintf "0x%Lx" in
+  let hexes l = String.concat "," (List.map hex (List.sort compare l)) in
+  String.concat "\n"
+    (List.concat
+       [
+         rows t.cvms (fun id c ->
+             Printf.sprintf "cvm %d %s epoch=%d measurement=%s quarantine=%s"
+               id
+               (Cvm.state_to_string c.Cvm.state)
+               c.Cvm.epoch
+               (opt Crypto.Sha256.to_hex c.Cvm.measurement)
+               (opt (Printf.sprintf "%S") c.Cvm.quarantine_reason));
+         rows t.page_owner (fun pa id ->
+             Printf.sprintf "owner %s %d" (hex pa) id);
+         rows t.freed_pages (fun id l ->
+             Printf.sprintf "freed %d %s" id (hexes !l));
+         [ "free-blocks " ^ hexes (Secmem.free_list_bases t.sm) ];
+         rows t.sessions (fun key s ->
+             Printf.sprintf "session %s %s cvm=%s epoch=%d" key
+               (match s.mg_phase with
+               | Mig_active -> "active"
+               | Mig_committed -> "committed"
+               | Mig_aborted -> "aborted")
+               (opt string_of_int s.mg_cvm)
+               s.mg_epoch);
+         rows t.channels (fun id ch ->
+             Printf.sprintf "chan %d %s page=%s" id
+               (chan_phase_to_string ch.ch_phase)
+               (opt hex ch.ch_page));
+       ])
+
 (* ---------- crash consistency: reboot + journal recovery ---------- *)
 
 let journal t = t.journal
@@ -3171,330 +3220,190 @@ let pinned_by_active_out_session t id =
          && s.mg_cvm = Some id))
     t.sessions false
 
-(* Replay one pending record. Every branch is idempotent: recovery may
-   itself crash at any of the journal points it emits, and the next
-   recovery replays the same record again. Checkpoints/completion marks
-   are written by [recover], not here (except destroy_replay's own). *)
-let replay_record t ~note ~fwd ~back (r : Journal.record) =
+(* ---- the roll-back helpers: one per distinct rollback ---- *)
+
+(* Destroy the half-built CVM [id] (create, load, import, migrate-in
+   prepare). The destroy body re-runs even on a CVM a previous recovery
+   already marked destroyed, to finish whatever that pass was torn at.
+   Returns whether the CVM was still alive. *)
+let rollback_cvm t record id =
+  match find_cvm t id with
+  | Some cvm ->
+      let alive = cvm.Cvm.state <> Cvm.Destroyed in
+      destroy_body ~record t cvm;
+      alive
+  | None -> false
+
+(* A pool block popped for an object that never reached its table:
+   scrub it and re-link it. Returns whether anything was reclaimed. *)
+let reclaim_orphan_block t base =
+  Secmem.contains t.sm base
+  && (not (Secmem.is_free_base t.sm base))
+  && begin
+       Physmem.zero_range
+         (Bus.dram t.machine.Machine.bus)
+         (Int64.sub base Bus.dram_base)
+         (Secmem.block_size t.sm);
+       ignore (Hier_alloc.reclaim_base t.sm ~base);
+       true
+     end
+
+(* A migrate-out lock whose session record never landed: the host never
+   learned a session existed, so release the CVM. *)
+let release_out_lock t id =
+  match find_cvm t id with
+  | Some cvm
+    when cvm.Cvm.state = Cvm.Migrating_out
+         && not (pinned_by_active_out_session t id) ->
+      cvm.Cvm.state <- Cvm.Suspended;
+      true
+  | _ -> false
+
+(* A torn re-prepare may have destroyed the session's old instance
+   before the new one landed: detach the session from it. *)
+let detach_dead_instance t s =
+  match s.mg_cvm with
+  | Some id when s.mg_phase = Mig_active && find_alive t id = None ->
+      s.mg_cvm <- None
+  | _ -> ()
+
+type direction = Forward | Back
+
+(* Replay one pending record: pick the direction and call the transition
+   body or rollback helper above; return the direction and an optional
+   line for the report. Every body is idempotent and emits its own
+   checkpoints, so recovery may itself crash at any of them and the next
+   recovery replays the same record again. *)
+let replay_record t (r : Journal.record) =
+  let seq = r.Journal.seq in
+  let say fmt = Printf.ksprintf Option.some fmt in
   match r.Journal.op with
-  | Journal.Op_create { cvm = id; block_base; nvcpus = _ } -> (
-      incr back;
+  | Journal.Op_create { cvm = id; block_base; nvcpus = _ } ->
       (* Never mint the journaled id again, even though the op dies. *)
       if t.next_cvm_id <= id then t.next_cvm_id <- id + 1;
-      match find_cvm t id with
-      | Some cvm ->
-          note
-            (Printf.sprintf "create #%d: rolled back half-built CVM %d"
-               r.Journal.seq id);
-          destroy_replay ~record:r t cvm
-      | None ->
-          (* The block may have been popped without the CVM ever
-             reaching the table: scrub the orphan and re-link it. *)
-          if
-            Secmem.contains t.sm block_base
-            && not (Secmem.is_free_base t.sm block_base)
-          then begin
-            Physmem.zero_range
-              (Bus.dram t.machine.Machine.bus)
-              (Int64.sub block_base Bus.dram_base)
-              (Secmem.block_size t.sm);
-            ignore (Hier_alloc.reclaim_base t.sm ~base:block_base);
-            note
-              (Printf.sprintf
-                 "create #%d: reclaimed orphaned block 0x%Lx" r.Journal.seq
-                 block_base)
-          end)
-  | Journal.Op_load { cvm = id; _ } -> (
-      incr back;
-      match find_cvm t id with
-      | Some cvm when cvm.Cvm.state = Cvm.Created ->
-          (* The measurement is torn mid-extend and can never seal to
-             anything attestable: scrub the instance, let the host
-             rebuild it from the original image. *)
-          note
-            (Printf.sprintf "load #%d: rolled back torn CVM %d"
-               r.Journal.seq id);
-          destroy_replay ~record:r t cvm
-      | _ -> ())
+      ( Back,
+        if rollback_cvm t r id then
+          say "create #%d: rolled back half-built CVM %d" seq id
+        else if reclaim_orphan_block t block_base then
+          say "create #%d: reclaimed orphaned block 0x%Lx" seq block_base
+        else None )
+  | Journal.Op_load { cvm = id; _ } ->
+      (* The measurement is torn mid-extend and can never seal to
+         anything attestable: the host rebuilds from the original
+         image. *)
+      ( Back,
+        if rollback_cvm t r id then
+          say "load #%d: rolled back torn CVM %d" seq id
+        else None )
   | Journal.Op_expand { base; size } ->
-      if List.exists (fun r' -> r' = (base, size)) (Secmem.regions t.sm)
-      then begin
-        incr fwd;
-        (* The region is durably linked; the global PMP/IOPMP resync
-           that recovery always performs finishes the registration. *)
-        note
-          (Printf.sprintf "expand #%d: region 0x%Lx kept (PMP resynced)"
-             r.Journal.seq base)
-      end
-      else begin
-        incr back;
-        note
-          (Printf.sprintf "expand #%d: region 0x%Lx never linked; dropped"
-             r.Journal.seq base)
-      end
+      (* A linked region is finished by the PMP/IOPMP resync every
+         recovery performs. *)
+      if List.mem (base, size) (Secmem.regions t.sm) then
+        (Forward, say "expand #%d: region 0x%Lx kept (PMP resynced)" seq base)
+      else (Back, say "expand #%d: region 0x%Lx never linked; dropped" seq base)
   | Journal.Op_relinquish { cvm = id; gpa; pa } -> (
-      match find_cvm t id with
-      | Some cvm when cvm.Cvm.state <> Cvm.Destroyed ->
-          incr fwd;
-          (match Spt.lookup cvm.Cvm.spt ~gpa with
-          | Some pa' when pa' = pa ->
-              ignore (Spt.unmap_private cvm.Cvm.spt ~gpa)
-          | _ -> ());
-          Physmem.zero_range
-            (Bus.dram t.machine.Machine.bus)
-            (Int64.sub pa Bus.dram_base) 4096L;
-          Journal.checkpoint t.journal r "scrubbed";
-          (* TLBs are empty after the reboot, so no shootdown is owed;
-             just make sure the page lands in the freed pool exactly
-             once. *)
-          let lst =
-            match Hashtbl.find_opt t.freed_pages id with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.add t.freed_pages id l;
-                l
-          in
-          if not (List.mem pa !lst) then lst := pa :: !lst;
-          note
-            (Printf.sprintf
-               "relinquish #%d: CVM %d page 0x%Lx scrubbed and pooled"
-               r.Journal.seq id pa)
-      | _ -> incr back)
-  | Journal.Op_destroy { cvm = id } -> (
-      incr fwd;
-      match find_cvm t id with
+      match find_alive t id with
       | Some cvm ->
-          note
-            (Printf.sprintf "destroy #%d: finished scrubbing CVM %d"
-               r.Journal.seq id);
-          destroy_replay ~record:r t cvm
-      | None -> ())
-  | Journal.Op_quarantine { cvm = id; reason } -> (
-      incr fwd;
-      match find_cvm t id with
-      | Some cvm when cvm.Cvm.state <> Cvm.Destroyed ->
-          if cvm.Cvm.state <> Cvm.Quarantined then
-            Metrics.Registry.inc t.registry "cvm.quarantined";
-          cvm.Cvm.state <- Cvm.Quarantined;
-          cvm.Cvm.quarantine_reason <- Some reason;
-          Spt.clear_shared_root cvm.Cvm.spt;
-          chan_sweep_for t id ~reason:"endpoint quarantined";
-          note
-            (Printf.sprintf "quarantine #%d: CVM %d re-parked"
-               r.Journal.seq id)
-      | _ -> ())
-  | Journal.Op_mig_out_begin { session; cvm = id } -> (
-      match find_session t Mig_out session with
-      | Some s ->
-          incr fwd;
-          (match (s.mg_phase, find_cvm t id) with
-          | Mig_active, Some cvm
-            when cvm.Cvm.state = Cvm.Suspended
-                 || cvm.Cvm.state = Cvm.Runnable ->
-              cvm.Cvm.state <- Cvm.Migrating_out;
-              note
-                (Printf.sprintf "out-begin #%d: re-locked CVM %d"
-                   r.Journal.seq id)
-          | _ -> ())
-      | None -> (
-          incr back;
-          (* The lock landed but the session record did not: release the
-             CVM — the host never learned a session existed. *)
-          match find_cvm t id with
-          | Some cvm
-            when cvm.Cvm.state = Cvm.Migrating_out
-                 && not (pinned_by_active_out_session t id) ->
-              cvm.Cvm.state <- Cvm.Suspended;
-              note
-                (Printf.sprintf "out-begin #%d: released CVM %d"
-                   r.Journal.seq id)
-          | _ -> ()))
+          relinquish_body ~record:r t cvm ~gpa ~pa;
+          ( Forward,
+            say "relinquish #%d: CVM %d page 0x%Lx scrubbed and pooled" seq id
+              pa )
+      | None -> (Back, None))
+  | Journal.Op_destroy { cvm = id } ->
+      ( Forward,
+        Option.bind (find_cvm t id) (fun cvm ->
+            destroy_body ~record:r t cvm;
+            say "destroy #%d: finished scrubbing CVM %d" seq id) )
+  | Journal.Op_quarantine { cvm = id; reason } ->
+      ( Forward,
+        Option.bind (find_alive t id) (fun cvm ->
+            quarantine_body ~record:r t cvm ~reason;
+            say "quarantine #%d: CVM %d re-parked" seq id) )
+  | Journal.Op_mig_out_begin { session; cvm = id } ->
+      if find_session t Mig_out session <> None then (Forward, None)
+      else if release_out_lock t id then
+        (Back, say "out-begin #%d: released CVM %d" seq id)
+      else (Back, None)
   | Journal.Op_mig_out_abort { session } -> (
-      incr fwd;
       match find_session t Mig_out session with
       | Some s when s.mg_phase <> Mig_committed ->
-          (match s.mg_cvm with
-          | Some id -> (
-              match find_cvm t id with
-              | Some cvm when cvm.Cvm.state = Cvm.Migrating_out ->
-                  cvm.Cvm.state <- Cvm.Suspended
-              | _ -> ())
-          | None -> ());
-          s.mg_phase <- Mig_aborted;
-          note
-            (Printf.sprintf "out-abort #%d: session %s aborted"
-               r.Journal.seq session)
-      | _ -> ())
+          out_abort_body ~record:r t s;
+          (Forward, say "out-abort #%d: session %s aborted" seq session)
+      | _ -> (Forward, None))
   | Journal.Op_mig_out_commit { session } -> (
-      incr fwd;
       match find_session t Mig_out session with
       | Some s when s.mg_phase <> Mig_aborted ->
-          s.mg_phase <- Mig_committed;
-          Journal.checkpoint t.journal r "committed";
-          (match s.mg_cvm with
-          | Some id -> (
-              match find_cvm t id with
-              | Some cvm when cvm.Cvm.state <> Cvm.Destroyed ->
-                  destroy_replay ~record:r t cvm
-              | _ -> ())
-          | None -> ());
-          note
-            (Printf.sprintf
-               "out-commit #%d: session %s committed, source scrubbed"
-               r.Journal.seq session)
-      | _ -> ())
-  | Journal.Op_mig_in_prepare p -> (
-      incr back;
-      (match p.built with
-      | Some id -> (
-          match find_cvm t id with
-          | Some cvm when cvm.Cvm.state <> Cvm.Destroyed ->
-              note
-                (Printf.sprintf
-                   "in-prepare #%d: rolled back half-restored CVM %d"
-                   r.Journal.seq id);
-              destroy_replay ~record:r t cvm
-          | _ -> ())
-      | None -> ());
-      match find_session t Mig_in p.session with
-      | Some s when s.mg_phase = Mig_active -> (
-          (* the session may still point at an instance that no longer
-             exists (re-prepare destroyed the old one mid-swap) *)
-          match s.mg_cvm with
-          | Some id
-            when (match find_cvm t id with
-                 | Some c -> c.Cvm.state = Cvm.Destroyed
-                 | None -> true) ->
-              s.mg_cvm <- None
-          | _ -> ())
-      | _ -> ())
+          out_commit_body ~record:r t s;
+          ( Forward,
+            say "out-commit #%d: session %s committed, source scrubbed" seq
+              session )
+      | _ -> (Forward, None))
+  | Journal.Op_mig_in_prepare { session; built; _ } ->
+      let line =
+        match built with
+        | Some id when rollback_cvm t r id ->
+            say "in-prepare #%d: rolled back half-restored CVM %d" seq id
+        | _ -> None
+      in
+      Option.iter (detach_dead_instance t) (find_session t Mig_in session);
+      (Back, line)
   | Journal.Op_mig_in_commit { session } -> (
-      incr fwd;
       match find_session t Mig_in session with
-      | Some s when s.mg_phase = Mig_active -> (
-          match s.mg_cvm with
-          | Some id -> (
-              match find_cvm t id with
-              | Some cvm when cvm.Cvm.state = Cvm.Migrating_in ->
-                  cvm.Cvm.state <- Cvm.Suspended;
-                  Journal.checkpoint t.journal r "activated";
-                  s.mg_phase <- Mig_committed;
-                  note
-                    (Printf.sprintf "in-commit #%d: CVM %d activated"
-                       r.Journal.seq id)
-              | Some cvm when cvm.Cvm.state = Cvm.Suspended ->
-                  s.mg_phase <- Mig_committed;
-                  note
-                    (Printf.sprintf
-                       "in-commit #%d: session %s marked committed"
-                       r.Journal.seq session)
-              | _ -> ())
-          | None -> ())
-      | _ -> ())
+      | Some ({ mg_phase = Mig_active; mg_cvm = Some id; _ } as s) -> (
+          match find_cvm t id with
+          | Some cvm
+            when cvm.Cvm.state = Cvm.Migrating_in
+                 || cvm.Cvm.state = Cvm.Suspended ->
+              in_commit_body ~record:r t s cvm;
+              (Forward, say "in-commit #%d: CVM %d activated" seq id)
+          | _ -> (Forward, None))
+      | _ -> (Forward, None))
   | Journal.Op_mig_in_abort { session } -> (
-      incr fwd;
       match find_session t Mig_in session with
       | Some s when s.mg_phase <> Mig_committed ->
-          (match s.mg_cvm with
-          | Some id -> (
-              match find_cvm t id with
-              | Some cvm when cvm.Cvm.state <> Cvm.Destroyed ->
-                  destroy_replay ~record:r t cvm
-              | _ -> ())
-          | None -> ());
-          s.mg_phase <- Mig_aborted;
-          s.mg_cvm <- None;
-          note
-            (Printf.sprintf "in-abort #%d: session %s aborted"
-               r.Journal.seq session)
-      | _ -> ())
-  | Journal.Op_import p -> (
-      incr back;
-      match p.built with
-      | Some id -> (
-          match find_cvm t id with
-          | Some cvm when cvm.Cvm.state <> Cvm.Destroyed ->
-              note
-                (Printf.sprintf
-                   "import #%d: rolled back half-restored CVM %d"
-                   r.Journal.seq id);
-              destroy_replay ~record:r t cvm
-          | _ -> ())
-      | None -> ())
+          in_abort_body ~record:r t s;
+          (Forward, say "in-abort #%d: session %s aborted" seq session)
+      | _ -> (Forward, None))
+  | Journal.Op_import { built } ->
+      ( Back,
+        match built with
+        | Some id when rollback_cvm t r id ->
+            say "import #%d: rolled back half-restored CVM %d" seq id
+        | _ -> None )
   | Journal.Op_chan_grant { chan; a = _; b = _; block_base } -> (
-      incr back;
       (* Channel ids double as slot indices: never mint this one
          again. *)
       if t.next_chan_id <= chan then t.next_chan_id <- chan + 1;
       match find_channel t chan with
       | Some ch ->
-          note
-            (Printf.sprintf "chan-grant #%d: rolled back torn offer %d"
-               r.Journal.seq chan);
-          chan_teardown t ch ~phase:Chan_revoked ~reason:"offer rolled back"
+          chan_teardown ~record:r t ch ~phase:Chan_revoked
+            ~reason:"offer rolled back";
+          (Back, say "chan-grant #%d: rolled back torn offer %d" seq chan)
       | None ->
-          (* The ring block may have been popped without the channel
-             ever reaching the table: scrub the orphan and re-link
-             it. *)
-          if
-            Secmem.contains t.sm block_base
-            && not (Secmem.is_free_base t.sm block_base)
-          then begin
-            Physmem.zero_range
-              (Bus.dram t.machine.Machine.bus)
-              (Int64.sub block_base Bus.dram_base)
-              (Secmem.block_size t.sm);
-            ignore (Hier_alloc.reclaim_base t.sm ~base:block_base);
-            note
-              (Printf.sprintf
-                 "chan-grant #%d: reclaimed orphaned ring block 0x%Lx"
-                 r.Journal.seq block_base)
-          end)
+          ( Back,
+            if reclaim_orphan_block t block_base then
+              say "chan-grant #%d: reclaimed orphaned ring block 0x%Lx" seq
+                block_base
+            else None ))
   | Journal.Op_chan_accept { chan } -> (
-      incr back;
+      (* The accepting side never learned the establishment happened. *)
       match find_channel t chan with
       | Some ch when chan_live ch ->
-          (* Roll back to the offered state: the accepting side never
-             learned the establishment happened, so whichever of the two
-             map installs landed is removed again. TLBs are cold after
-             the reboot — no shootdown is owed. *)
-          (match ch.ch_page with
-          | Some pa ->
-              let unmap id =
-                match find_cvm t id with
-                | Some c when c.Cvm.state <> Cvm.Destroyed -> (
-                    match Spt.lookup c.Cvm.spt ~gpa:ch.ch_gpa with
-                    | Some pa' when pa' = pa ->
-                        ignore (Spt.unmap_private c.Cvm.spt ~gpa:ch.ch_gpa)
-                    | _ -> ())
-                | _ -> ()
-              in
-              unmap ch.ch_a;
-              unmap ch.ch_b
-          | None -> ());
-          ch.ch_phase <- Chan_offered;
-          ch.ch_seq_ab <- 0L;
-          ch.ch_seq_ba <- 0L;
-          ch.ch_strikes <- 0;
-          note
-            (Printf.sprintf
-               "chan-accept #%d: rolled channel %d back to offered"
-               r.Journal.seq chan)
-      | _ -> ())
+          chan_unaccept t ch;
+          ( Back,
+            say "chan-accept #%d: rolled channel %d back to offered" seq chan
+          )
+      | _ -> (Back, None))
   | Journal.Op_chan_revoke { chan; degraded } -> (
-      incr fwd;
       match find_channel t chan with
       | Some ch when chan_live ch ->
-          let phase = if degraded then Chan_degraded else Chan_revoked in
-          chan_teardown t ch ~phase
+          chan_teardown ~record:r t ch
+            ~phase:(if degraded then Chan_degraded else Chan_revoked)
             ~reason:
               (if degraded then "degraded (recovery replay)"
                else "revoked (recovery replay)");
-          note
-            (Printf.sprintf "chan-revoke #%d: finished tearing down %d"
-               r.Journal.seq chan)
-      | _ -> ())
+          (Forward, say "chan-revoke #%d: finished tearing down %d" seq chan)
+      | _ -> (Forward, None))
 
 let recover t =
   let detail = ref [] in
@@ -3540,7 +3449,9 @@ let recover t =
   let pending = Journal.pending t.journal in
   List.iter
     (fun r ->
-      replay_record t ~note ~fwd ~back r;
+      let direction, line = replay_record t r in
+      incr (match direction with Forward -> fwd | Back -> back);
+      Option.iter note line;
       Journal.mark_done t.journal r)
     pending;
   Journal.compact t.journal;

@@ -540,10 +540,12 @@ val audit : t -> (int, string list) result
     checkpoints at each intermediate durable write. A crash at any
     journal point leaves a [Pending] record; [recover] replays it —
     roll-forward for operations whose inputs are already durable
-    (destroy, relinquish, quarantine, expand, migration abort/commit),
-    roll-back for operations whose inputs lived in untrusted volatile
-    memory (create, load, import, migrate-in prepare) — until [audit]
-    is clean and exactly-one-owner holds again. The non-crash path
+    (destroy, relinquish, quarantine, expand, migration abort/commit,
+    channel revoke), through the same idempotent transition body the
+    live call runs; roll-back for operations whose inputs lived in
+    untrusted volatile memory (create, load, import, migrate-in
+    prepare, channel grant/accept) — until [audit] is clean and
+    exactly-one-owner holds again. The non-crash path
     never charges a cycle for journaling: records are modeled NVRAM
     writes outside the cost ledger. *)
 
@@ -586,3 +588,13 @@ val recover : t -> recovery_report
     recovery itself re-replays idempotently. Post-condition: [audit]
     returns [Ok] and a second [recover] finds zero pending records.
     Charges [sm_recover] for the PMP/TLB reprogramming performed. *)
+
+val durable_digest : t -> string
+(** A canonical rendering of the durable state recovery must complete,
+    for tests: the CVM table (id, state, epoch, measurement, quarantine
+    reason), page owners, freed-page pools and the free-block list (as
+    sets), migration sessions (role, phase, CVM, epoch) and channels
+    (phase, ring page). Volatile state — ledger, registry, TLBs, the
+    scrub-once record, next-id counters — is left out. A roll-forward
+    operation crashed at any journal point and recovered must reach the
+    digest of the same operation run uncrashed. *)

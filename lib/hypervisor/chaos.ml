@@ -962,7 +962,13 @@ type sm_inst = {
   si_drain : unit -> unit;  (* session cleanup before the destroy loop *)
 }
 
-type sm_scenario = { ss_name : string; ss_build : unit -> sm_inst }
+type sm_scenario = {
+  ss_name : string;
+  ss_build : unit -> sm_inst;
+  ss_oracle : bool;
+      (* a roll-forward host call: crash + recover at any point must
+         reach the durable state of the same op run uncrashed *)
+}
 
 let sm_world () =
   let machine = Machine.create ~nharts:2 ~dram_size:(mib 32) () in
@@ -1020,9 +1026,10 @@ let sm_chan_established mon kvm =
   (ha, hb, a, b, chan)
 
 let sm_scenarios () =
-  let solo name build_op =
+  let solo ?(oracle = false) name build_op =
     {
       ss_name = name;
+      ss_oracle = oracle;
       ss_build =
         (fun () ->
           let mon, kvm = sm_world () in
@@ -1061,7 +1068,7 @@ let sm_scenarios () =
               (Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:(Kvm.cvm_id h) ~vcpu:0
                  ~max_steps:50_000)),
           ignore ));
-    solo "destroy" (fun mon kvm ->
+    solo ~oracle:true "destroy" (fun mon kvm ->
         let h = sm_guest kvm in
         ( (fun () ->
             ignore (Zion.Monitor.destroy_cvm mon ~cvm:(Kvm.cvm_id h))),
@@ -1092,7 +1099,7 @@ let sm_scenarios () =
                  ~session:"sweep")),
           fun () ->
             ignore (Zion.Monitor.migrate_out_abort mon ~session:"sweep") ));
-    solo "mig-out-abort" (fun mon kvm ->
+    solo ~oracle:true "mig-out-abort" (fun mon kvm ->
         let h = sm_guest kvm in
         ignore
           (sm_expect "out_begin"
@@ -1101,7 +1108,7 @@ let sm_scenarios () =
         ( (fun () ->
             ignore (Zion.Monitor.migrate_out_abort mon ~session:"sweep")),
           ignore ));
-    solo "mig-out-commit" (fun mon kvm ->
+    solo ~oracle:true "mig-out-commit" (fun mon kvm ->
         let h = sm_guest kvm in
         ignore
           (sm_expect "out_begin"
@@ -1132,11 +1139,11 @@ let sm_scenarios () =
               (Zion.Monitor.chan_accept mon ~chan ~cvm:b ~nonce:"sweep-b"
                  ~expect:ma)),
           ignore ));
-    solo "chan-revoke" (fun mon kvm ->
+    solo ~oracle:true "chan-revoke" (fun mon kvm ->
         let _, _, a, _, chan = sm_chan_established mon kvm in
         ( (fun () -> ignore (Zion.Monitor.chan_revoke mon ~chan ~cvm:a)),
           ignore ));
-    solo "chan-degrade" (fun mon kvm ->
+    solo ~oracle:true "chan-degrade" (fun mon kvm ->
         let _, _, _, _, chan = sm_chan_established mon kvm in
         let pa =
           match Zion.Monitor.chan_info mon ~chan with
@@ -1155,10 +1162,10 @@ let sm_scenarios () =
               ignore (Zion.Monitor.chan_poll mon ~chan)
             done),
           ignore ));
-    solo "chan-destroy-a" (fun mon kvm ->
+    solo ~oracle:true "chan-destroy-a" (fun mon kvm ->
         let _, _, a, _, _ = sm_chan_established mon kvm in
         ((fun () -> ignore (Zion.Monitor.destroy_cvm mon ~cvm:a)), ignore));
-    solo "chan-destroy-b" (fun mon kvm ->
+    solo ~oracle:true "chan-destroy-b" (fun mon kvm ->
         let _, _, _, b, _ = sm_chan_established mon kvm in
         ((fun () -> ignore (Zion.Monitor.destroy_cvm mon ~cvm:b)), ignore));
     solo "chan-quarantine" (fun mon kvm ->
@@ -1172,7 +1179,7 @@ let sm_scenarios () =
             ignore
               (Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:a ~vcpu:0 ~max_steps:100)),
           ignore ));
-    solo "chan-mig-commit" (fun mon kvm ->
+    solo ~oracle:true "chan-mig-commit" (fun mon kvm ->
         let _, _, a, _, _ = sm_chan_established mon kvm in
         ignore
           (sm_expect "out_begin"
@@ -1184,9 +1191,10 @@ let sm_scenarios () =
   @
   (* Migration-in ops crash the *destination* monitor; the source is
      audited and drained alongside. *)
-  let mig_in name op drain_src =
+  let mig_in ?(oracle = false) name op drain_src =
     {
       ss_name = name;
+      ss_oracle = oracle;
       ss_build =
         (fun () ->
           let src, skvm = sm_world () in
@@ -1231,9 +1239,9 @@ let sm_scenarios () =
       (fun ~src:_ ~dst:_ ~blob:_ ~epoch:_ -> ())
       (fun src ->
         ignore (Zion.Monitor.migrate_out_abort src ~session:"sweep"));
-    mig_in "mig-in-commit" prepared (fun src ->
+    mig_in ~oracle:true "mig-in-commit" prepared (fun src ->
         ignore (Zion.Monitor.migrate_out_commit src ~session:"sweep"));
-    mig_in "mig-in-abort" prepared (fun src ->
+    mig_in ~oracle:true "mig-in-abort" prepared (fun src ->
         ignore (Zion.Monitor.migrate_out_abort src ~session:"sweep"));
   ]
 
@@ -1251,7 +1259,8 @@ let sm_crash_sweep ?(recovery_crashes = true) ?(max_points = 64) () =
      run it, and (if the crash fired) reboot + recover — when
      [recovery_crashes], the recovery itself is crashed at successively
      later points until one run completes, exercising
-     recover-after-recover-crash. Returns whether the crash fired. *)
+     recover-after-recover-crash. Returns whether the crash fired, and
+     the crashed monitor's durable digest once recovery settled. *)
   let run_case name k inst =
     incr cases;
     let j = Zion.Monitor.journal inst.si_mon in
@@ -1315,6 +1324,7 @@ let sm_crash_sweep ?(recovery_crashes = true) ?(max_points = 64) () =
       | exception exn ->
           fail name k ("re-recover raised " ^ Printexc.to_string exn)
     end;
+    let digest = Zion.Monitor.durable_digest inst.si_mon in
     (* ...and the whole world still tears down to an all-free pool. *)
     (try inst.si_drain ()
      with exn -> fail name k ("drain raised " ^ Printexc.to_string exn));
@@ -1336,20 +1346,43 @@ let sm_crash_sweep ?(recovery_crashes = true) ?(max_points = 64) () =
         | Ok () -> ()
         | Error m -> fail name k ("pool invariants: " ^ m))
       (inst.si_mon :: inst.si_aux);
-    !crashed
+    (!crashed, digest)
+  in
+  (* The live-vs-replay oracle: one differing line each way. *)
+  let check_digest name k ~expected got =
+    if got <> expected then begin
+      let lines = String.split_on_char '\n' in
+      let first_missing a b =
+        match List.find_opt (fun l -> not (List.mem l (lines b))) (lines a) with
+        | Some l -> l
+        | None -> "-"
+      in
+      fail name k
+        (Printf.sprintf
+           "durable state differs from the uncrashed run: got %s, expected %s"
+           (first_missing got expected) (first_missing expected got))
+    end
   in
   List.iter
     (fun sc ->
       let k = ref 1 in
       let swept = ref false in
+      let recovered = ref [] in
       while (not !swept) && !k <= max_points do
         let inst = sc.ss_build () in
-        if run_case sc.ss_name !k inst then incr k
-        else begin
-          (* the op completed before point [k]: every point is covered *)
-          op_points := (sc.ss_name, !k - 1) :: !op_points;
-          swept := true
-        end
+        match run_case sc.ss_name !k inst with
+        | true, digest ->
+            recovered := (!k, digest) :: !recovered;
+            incr k
+        | false, expected ->
+            (* the op completed before point [k]: every point is covered,
+               and this uncrashed run is the oracle's reference *)
+            op_points := (sc.ss_name, !k - 1) :: !op_points;
+            swept := true;
+            if sc.ss_oracle then
+              List.iter
+                (fun (k, got) -> check_digest sc.ss_name k ~expected got)
+                (List.rev !recovered)
       done;
       if not !swept then begin
         op_points := (sc.ss_name, max_points) :: !op_points;

@@ -83,8 +83,14 @@ val run :
     reboot with [Zion.Monitor.crash_reboot], run
     [Zion.Monitor.recover], and demand convergence — a clean audit, an
     idempotent second recovery, and a world that still tears down to an
-    all-free pool. The schedule is exhaustive, not sampled, so the
-    sweep is deterministic and needs no seed. *)
+    all-free pool. For the ten roll-forward host calls (destroy, both
+    migrate-out and both migrate-in decisions, channel revoke and
+    degrade, both channel-endpoint destroys, and the channel-holding
+    migrate-out commit) it also demands that the recovered
+    [Zion.Monitor.durable_digest] equal the one the same operation
+    reaches uncrashed: live and replayed transitions must agree. The
+    schedule is exhaustive, not sampled, so the sweep is deterministic
+    and needs no seed. *)
 
 type sm_report = {
   sm_ops : (string * int) list;

@@ -65,6 +65,12 @@ let op_gen =
         map (fun session -> Op_mig_in_commit { session }) raw_string_gen;
         map (fun session -> Op_mig_in_abort { session }) raw_string_gen;
         map (fun built -> Op_import { built }) (opt nat);
+        map3
+          (fun chan (a, b) block_base ->
+            Op_chan_grant { chan; a; b; block_base })
+          nat (pair nat nat) i64_gen;
+        map (fun chan -> Op_chan_accept { chan }) nat;
+        map2 (fun chan degraded -> Op_chan_revoke { chan; degraded }) nat bool;
       ])
 
 let record_gen =
@@ -167,6 +173,27 @@ let unit_tests =
         | Hypervisor.Kvm.C_shutdown -> ()
         | _ -> Alcotest.fail "guest did not run to shutdown after recover");
         check_audit mon);
+    Alcotest.test_case "durable digest survives a reboot, tracks a destroy"
+      `Quick (fun () ->
+        let _, mon, kvm = world () in
+        let h =
+          match
+            Hypervisor.Kvm.create_cvm_guest kvm ~entry_pc:guest_entry
+              ~image:
+                [ (guest_entry, Asm.program (Guest.Gprog.hello "ok\n")) ]
+          with
+          | Ok h -> h
+          | Error e -> Alcotest.fail e
+        in
+        let before = Zion.Monitor.durable_digest mon in
+        (* the reboot wipes only volatile state, which the digest omits *)
+        Zion.Monitor.crash_reboot mon;
+        ignore (Zion.Monitor.recover mon);
+        Alcotest.(check string) "reboot keeps the durable state" before
+          (Zion.Monitor.durable_digest mon);
+        ignore (Zion.Monitor.destroy_cvm mon ~cvm:(Hypervisor.Kvm.cvm_id h));
+        Alcotest.(check bool) "destroy changes it" true
+          (Zion.Monitor.durable_digest mon <> before));
     Alcotest.test_case "non-crash lifecycle journals but never recovers"
       `Quick (fun () ->
         let machine, mon, kvm = world () in
