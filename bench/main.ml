@@ -1,102 +1,78 @@
 (* ZION benchmark harness: regenerates every table and figure of the
    paper's evaluation section (§V), prints paper-vs-measured rows, and
    finishes with wall-clock microbenchmarks of the simulator itself
-   (Bechamel).
+   (Bechamel). It is also the one gate for every bench bound.
 
-   Usage: dune exec bench/main.exe [-- --quick]
-   --quick shrinks the Redis request counts for fast CI runs. *)
-
-let quick = Array.exists (fun a -> a = "--quick") Sys.argv
+   Usage: dune exec bench/main.exe -- [--quick] [SECTION ...]
+   Runs every section of [sections] in order, or only the named ones.
+   --quick shrinks the Redis request counts and step budgets for fast
+   CI runs. Exits 1 if any section's gate failed (each failure is
+   printed as FAIL [section]), 2 on an unknown section name. *)
 
 let fixed = Metrics.Table.fixed
 let pct = Metrics.Table.signed_pct
 
+let write_json path json =
+  let oc = open_out path in
+  output_string oc (Metrics.Export.json_to_string json ^ "\n");
+  close_out oc;
+  print_endline ("wrote " ^ path)
+
+(* A section's verdict from the messages of its failed gates. *)
+let verdict = function [] -> Ok () | failed -> Error (String.concat "; " failed)
+
 (* ---------- §V.B.1 / §V.B.2 : switch experiments ---------- *)
 
-let bench_switches () =
+let bench_switches ~quick:_ =
   Metrics.Table.section
     "§V.B.1 — shared-vCPU optimisation (MMIO switches, 200 iterations)";
-  let r = Platform.Exp_switch.run () in
+  let open Platform.Exp_switch in
+  let r = run () in
   let row name measured paper_v =
     [
       name; fixed 0 measured; fixed 0 paper_v;
       pct (Metrics.Stats.pct_change ~baseline:paper_v measured);
     ]
   in
-  let paper = Platform.Exp_switch.paper in
   let p k = List.assoc k paper in
+  let gain base fast = (base -. fast) /. base *. 100. in
   Metrics.Table.print
     ~header:[ "switch"; "measured (cycles)"; "paper"; "delta %" ]
     [
-      row "CVM entry, shared vCPU"
-        r.Platform.Exp_switch.shared_on.Platform.Exp_switch.entry_mean
+      row "CVM entry, shared vCPU" r.shared_on.entry_mean
         (p "entry shared-vCPU");
-      row "CVM entry, no shared vCPU"
-        r.Platform.Exp_switch.shared_off.Platform.Exp_switch.entry_mean
+      row "CVM entry, no shared vCPU" r.shared_off.entry_mean
         (p "entry no-shared-vCPU");
-      row "CVM exit, shared vCPU"
-        r.Platform.Exp_switch.shared_on.Platform.Exp_switch.exit_mean
-        (p "exit shared-vCPU");
-      row "CVM exit, no shared vCPU"
-        r.Platform.Exp_switch.shared_off.Platform.Exp_switch.exit_mean
+      row "CVM exit, shared vCPU" r.shared_on.exit_mean (p "exit shared-vCPU");
+      row "CVM exit, no shared vCPU" r.shared_off.exit_mean
         (p "exit no-shared-vCPU");
     ];
-  let entry_gain =
-    (r.Platform.Exp_switch.shared_off.Platform.Exp_switch.entry_mean
-    -. r.Platform.Exp_switch.shared_on.Platform.Exp_switch.entry_mean)
-    /. r.Platform.Exp_switch.shared_off.Platform.Exp_switch.entry_mean
-    *. 100.
-  in
-  let exit_gain =
-    (r.Platform.Exp_switch.shared_off.Platform.Exp_switch.exit_mean
-    -. r.Platform.Exp_switch.shared_on.Platform.Exp_switch.exit_mean)
-    /. r.Platform.Exp_switch.shared_off.Platform.Exp_switch.exit_mean
-    *. 100.
-  in
   Printf.printf
     "shared-vCPU improvement: entry %.1f%% (paper 20.8%%), exit %.1f%% (paper 22.74%%)\n"
-    entry_gain exit_gain;
+    (gain r.shared_off.entry_mean r.shared_on.entry_mean)
+    (gain r.shared_off.exit_mean r.shared_on.exit_mean);
 
   Metrics.Table.section
     "§V.B.2 — short-path vs long-path (timer switches, 200 iterations)";
   Metrics.Table.print
     ~header:[ "switch"; "measured (cycles)"; "paper"; "delta %" ]
     [
-      row "CVM entry, short path"
-        r.Platform.Exp_switch.short_path.Platform.Exp_switch.entry_mean
+      row "CVM entry, short path" r.short_path.entry_mean
         (p "entry short-path");
-      row "CVM entry, long path"
-        r.Platform.Exp_switch.long_path.Platform.Exp_switch.entry_mean
-        (p "entry long-path");
-      row "CVM exit, short path"
-        r.Platform.Exp_switch.short_path.Platform.Exp_switch.exit_mean
-        (p "exit short-path");
-      row "CVM exit, long path"
-        r.Platform.Exp_switch.long_path.Platform.Exp_switch.exit_mean
-        (p "exit long-path");
+      row "CVM entry, long path" r.long_path.entry_mean (p "entry long-path");
+      row "CVM exit, short path" r.short_path.exit_mean (p "exit short-path");
+      row "CVM exit, long path" r.long_path.exit_mean (p "exit long-path");
     ];
-  let se =
-    (r.Platform.Exp_switch.long_path.Platform.Exp_switch.entry_mean
-    -. r.Platform.Exp_switch.short_path.Platform.Exp_switch.entry_mean)
-    /. r.Platform.Exp_switch.long_path.Platform.Exp_switch.entry_mean
-    *. 100.
-  in
-  let sx =
-    (r.Platform.Exp_switch.long_path.Platform.Exp_switch.exit_mean
-    -. r.Platform.Exp_switch.short_path.Platform.Exp_switch.exit_mean)
-    /. r.Platform.Exp_switch.long_path.Platform.Exp_switch.exit_mean
-    *. 100.
-  in
   Printf.printf
     "short-path improvement: entry %.1f%% (paper 44.7%%), exit %.1f%% (paper 55.3%%)\n"
-    se sx;
+    (gain r.long_path.entry_mean r.short_path.entry_mean)
+    (gain r.long_path.exit_mean r.short_path.exit_mean);
   Metrics.Table.section
     "§V.B attribution — ledger cycle deltas over the shared-vCPU run";
   Metrics.Table.print
     ~header:[ "category"; "cycles" ]
-    (List.map
-       (fun (c, n) -> [ c; string_of_int n ])
-       r.Platform.Exp_switch.shared_on.Platform.Exp_switch.attribution)
+    (List.map (fun (c, n) -> [ c; string_of_int n ]) r.shared_on.attribution);
+  Ok ()
 
 (* ---------- TLB retention fast path vs paper-faithful flush ---------- *)
 
@@ -104,28 +80,22 @@ let bench_switches () =
    CI can diff the fast path against the paper-faithful baseline, and
    asserts the modeled saving: retention drops one tlb_full_flush from
    each direction of the switch. *)
-let bench_tlb_retention () =
+let bench_tlb_retention ~quick:_ =
   Metrics.Table.section
     "TLB retention — VMID-tagged fast path vs flush-on-every-switch";
+  let open Platform.Exp_switch in
   let iterations = 200 in
-  let faithful =
-    Platform.Exp_switch.measure_retention_switches ~tlb_retention:false
-      ~iterations
-  in
-  let retained =
-    Platform.Exp_switch.measure_retention_switches ~tlb_retention:true
-      ~iterations
-  in
-  let row name (m : Platform.Exp_switch.mode_stats) =
-    let sw = m.Platform.Exp_switch.sw and tlb = m.Platform.Exp_switch.tlb in
+  let faithful = measure_retention_switches ~tlb_retention:false ~iterations in
+  let retained = measure_retention_switches ~tlb_retention:true ~iterations in
+  let row name m =
     [
       name;
-      fixed 0 sw.Platform.Exp_switch.entry_mean;
-      fixed 0 sw.Platform.Exp_switch.exit_mean;
-      string_of_int tlb.Platform.Exp_switch.tlb_hits;
-      string_of_int tlb.Platform.Exp_switch.tlb_misses;
-      string_of_int tlb.Platform.Exp_switch.tlb_flushes;
-      fixed 3 tlb.Platform.Exp_switch.tlb_hit_rate;
+      fixed 0 m.sw.entry_mean;
+      fixed 0 m.sw.exit_mean;
+      string_of_int m.tlb.tlb_hits;
+      string_of_int m.tlb.tlb_misses;
+      string_of_int m.tlb.tlb_flushes;
+      fixed 3 m.tlb.tlb_hit_rate;
     ]
   in
   Metrics.Table.print
@@ -134,62 +104,50 @@ let bench_tlb_retention () =
         "hit rate" ]
     [ row "paper-faithful (full flush)" faithful;
       row "retained (VMID-tagged)" retained ];
-  let pair (m : Platform.Exp_switch.mode_stats) =
-    m.Platform.Exp_switch.sw.Platform.Exp_switch.entry_mean
-    +. m.Platform.Exp_switch.sw.Platform.Exp_switch.exit_mean
-  in
+  let pair m = m.sw.entry_mean +. m.sw.exit_mean in
   let drop = pair faithful -. pair retained in
   let want = 2 * Riscv.Cost.default.Riscv.Cost.tlb_full_flush in
   Printf.printf
     "steady-state entry+exit saving: %.0f cycles (expected >= %d: two \
      tlb_full_flush charges)\n"
     drop want;
-  let mode_json name (m : Platform.Exp_switch.mode_stats) =
-    let sw = m.Platform.Exp_switch.sw and tlb = m.Platform.Exp_switch.tlb in
-    let total mean = int_of_float (mean *. float_of_int sw.Platform.Exp_switch.samples) in
-    Printf.sprintf
-      {|    "%s": {
-      "samples": %d,
-      "entry_mean_cycles": %.1f,
-      "exit_mean_cycles": %.1f,
-      "entry_total_cycles": %d,
-      "exit_total_cycles": %d,
-      "tlb_hits": %d,
-      "tlb_misses": %d,
-      "tlb_flushes": %d,
-      "tlb_hit_rate": %.4f
-    }|}
-      name sw.Platform.Exp_switch.samples sw.Platform.Exp_switch.entry_mean
-      sw.Platform.Exp_switch.exit_mean
-      (total sw.Platform.Exp_switch.entry_mean)
-      (total sw.Platform.Exp_switch.exit_mean)
-      tlb.Platform.Exp_switch.tlb_hits tlb.Platform.Exp_switch.tlb_misses
-      tlb.Platform.Exp_switch.tlb_flushes
-      tlb.Platform.Exp_switch.tlb_hit_rate
+  let open Metrics.Export in
+  let mode_json m =
+    let total mean =
+      num_of_int (int_of_float (mean *. float_of_int m.sw.samples))
+    in
+    Obj
+      [
+        ("samples", num_of_int m.sw.samples);
+        ("entry_mean_cycles", num_dp 1 m.sw.entry_mean);
+        ("exit_mean_cycles", num_dp 1 m.sw.exit_mean);
+        ("entry_total_cycles", total m.sw.entry_mean);
+        ("exit_total_cycles", total m.sw.exit_mean);
+        ("tlb_hits", num_of_int m.tlb.tlb_hits);
+        ("tlb_misses", num_of_int m.tlb.tlb_misses);
+        ("tlb_flushes", num_of_int m.tlb.tlb_flushes);
+        ("tlb_hit_rate", num_dp 4 m.tlb.tlb_hit_rate);
+      ]
   in
-  let json =
-    Printf.sprintf "{\n%s,\n%s,\n    \"pair_saving_cycles\": %.1f\n}\n"
-      (mode_json "faithful" faithful)
-      (mode_json "retained" retained)
-      drop
-  in
-  let oc = open_out "BENCH_switch.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_switch.json";
-  if drop < float_of_int want then begin
-    Printf.printf
-      "FAIL: retention fast path saved only %.0f cycles (< %d)\n" drop want;
-    exit 1
-  end
-  else print_endline "switch fast-path check: OK"
+  write_json "BENCH_switch.json"
+    (Obj
+       [
+         ("faithful", mode_json faithful);
+         ("retained", mode_json retained);
+         ("pair_saving_cycles", num_dp 1 drop);
+       ]);
+  if drop >= float_of_int want then Ok ()
+  else
+    Error
+      (Printf.sprintf "retention fast path saved only %.0f cycles (< %d)" drop
+         want)
 
 (* ---------- §V.C : stage-2 page-fault handling ---------- *)
 
-let bench_faults () =
+let bench_faults ~quick:_ =
   Metrics.Table.section "§V.C — stage-2 page-fault handling";
-  let r = Platform.Exp_fault.run () in
-  let paper = Platform.Exp_fault.paper in
+  let open Platform.Exp_fault in
+  let r = run () in
   let p k = List.assoc k paper in
   let row name measured paper_v n =
     [
@@ -201,34 +159,26 @@ let bench_faults () =
   Metrics.Table.print
     ~header:[ "path"; "measured (cycles)"; "paper"; "delta %"; "faults" ]
     [
-      row "normal VM (KVM)" r.Platform.Exp_fault.normal_mean
-        (p "normal VM") r.Platform.Exp_fault.normal_count;
-      row "CVM stage 1" r.Platform.Exp_fault.stage1_mean (p "CVM stage 1")
-        r.Platform.Exp_fault.stage1_count;
-      row "CVM stage 2" r.Platform.Exp_fault.stage2_mean (p "CVM stage 2")
-        r.Platform.Exp_fault.stage2_count;
-      row "CVM stage 3" r.Platform.Exp_fault.stage3_mean (p "CVM stage 3")
-        r.Platform.Exp_fault.stage3_count;
-      row "CVM average" r.Platform.Exp_fault.cvm_weighted_mean
-        (p "CVM average")
-        (r.Platform.Exp_fault.stage1_count
-        + r.Platform.Exp_fault.stage2_count
-        + r.Platform.Exp_fault.stage3_count);
+      row "normal VM (KVM)" r.normal_mean (p "normal VM") r.normal_count;
+      row "CVM stage 1" r.stage1_mean (p "CVM stage 1") r.stage1_count;
+      row "CVM stage 2" r.stage2_mean (p "CVM stage 2") r.stage2_count;
+      row "CVM stage 3" r.stage3_mean (p "CVM stage 3") r.stage3_count;
+      row "CVM average" r.cvm_weighted_mean (p "CVM average")
+        (r.stage1_count + r.stage2_count + r.stage3_count);
     ];
   Metrics.Table.section
     "§V.C attribution — ledger cycle deltas over the CVM arm";
   Metrics.Table.print
     ~header:[ "category"; "cycles" ]
-    (List.map
-       (fun (c, n) -> [ c; string_of_int n ])
-       r.Platform.Exp_fault.cvm_attribution)
+    (List.map (fun (c, n) -> [ c; string_of_int n ]) r.cvm_attribution);
+  Ok ()
 
 (* ---------- Observability: flight-recorder summary ---------- *)
 
 (* Re-run a small MMIO switch storm with the SM flight recorder enabled
    and print the counters/histograms it collected — the per-experiment
    summary the recorder produces for any traced run. *)
-let bench_observability () =
+let bench_observability ~quick:_ =
   Metrics.Table.section
     "Observability — SM flight recorder over a 50-switch MMIO storm";
   let tb = Platform.Testbed.create () in
@@ -248,17 +198,19 @@ let bench_observability () =
   Printf.printf "trace: %d events recorded, %d dropped (capacity %d)\n"
     (Metrics.Trace.recorded tr)
     (Metrics.Trace.dropped tr)
-    (Metrics.Trace.capacity tr)
+    (Metrics.Trace.capacity tr);
+  Ok ()
 
 (* ---------- Observability: profiler sampling overhead ---------- *)
 
-(* Wall-clock cost of the guest PC-sampling hook: run the same
-   interpreter-bound guest with the profiler off and on (default
-   interval) and compare host time, best of 3. The disabled path is one
-   dead branch per retired instruction; the enabled path a
-   decrement/compare/store — the contract is < 5 % overhead. Emits
-   BENCH_profile.json for CI. *)
-let bench_profile () =
+(* Wall-clock cost of the guest PC-sampling hook: after one warm-up
+   run, alternate the profiler off and on (default interval) three
+   times over the same interpreter-bound guest and compare the best
+   host time of each arm, so neither arm gets the warmer caches. The
+   disabled path is one dead branch per retired instruction; the
+   enabled path a decrement/compare/store — the contract is < 5 %
+   overhead. Emits BENCH_profile.json. *)
+let bench_profile ~quick:_ =
   Metrics.Table.section
     "Observability — PC-sampling profiler overhead (host wall-clock)";
   let steps = 2_000_000 in
@@ -278,18 +230,15 @@ let bench_profile () =
     | _ -> failwith "bench_profile: expected step-limit exit");
     Sys.time () -. t0
   in
-  let best_of n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      best := Float.min !best (f ())
-    done;
-    !best
-  in
   ignore (one_run ()) (* warm up allocator and code paths *);
-  let off_s = best_of 3 one_run in
-  Zion.Monitor.enable_profiler ~interval mon;
-  let on_s = best_of 3 one_run in
-  Zion.Monitor.disable_profiler mon;
+  let off_s = ref infinity and on_s = ref infinity in
+  for _ = 1 to 3 do
+    off_s := Float.min !off_s (one_run ());
+    Zion.Monitor.enable_profiler ~interval mon;
+    on_s := Float.min !on_s (one_run ());
+    Zion.Monitor.disable_profiler mon
+  done;
+  let off_s = !off_s and on_s = !on_s in
   let overhead_pct = (on_s -. off_s) /. off_s *. 100. in
   let p =
     match Zion.Monitor.profiler mon with
@@ -305,92 +254,81 @@ let bench_profile () =
   Printf.printf "samples: %d (interval %d retired instructions)\n"
     (Metrics.Profile.samples p)
     (Metrics.Profile.interval p);
-  let top =
-    List.map
-      (fun (cvm, page, region, hits) ->
-        Printf.sprintf
-          "    {\"cvm\": %d, \"page\": \"0x%Lx\", \"region\": %s, \
-           \"hits\": %d}"
-          cvm page
-          (match region with
-          | Some r -> Printf.sprintf "%S" r
-          | None -> "null")
-          hits)
-      (Metrics.Profile.top_pages ~k:3 p)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"off_s\": %.6f,\n\
-      \  \"on_s\": %.6f,\n\
-      \  \"overhead_pct\": %.3f,\n\
-      \  \"samples\": %d,\n\
-      \  \"interval\": %d,\n\
-      \  \"top_pages\": [\n%s\n  ]\n\
-       }\n"
-      off_s on_s overhead_pct
-      (Metrics.Profile.samples p)
-      (Metrics.Profile.interval p)
-      (String.concat ",\n" top)
-  in
-  let oc = open_out "BENCH_profile.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_profile.json";
-  if overhead_pct >= 5. then begin
-    Printf.printf "FAIL: profiler overhead %.2f%% (>= 5%%)\n" overhead_pct;
-    exit 1
-  end
-  else print_endline "profiler overhead check: OK"
+  let open Metrics.Export in
+  write_json "BENCH_profile.json"
+    (Obj
+       [
+         ("off_s", num_dp 6 off_s);
+         ("on_s", num_dp 6 on_s);
+         ("overhead_pct", num_dp 3 overhead_pct);
+         ("samples", num_of_int (Metrics.Profile.samples p));
+         ("interval", num_of_int (Metrics.Profile.interval p));
+         ( "top_pages",
+           List
+             (List.map
+                (fun (cvm, page, region, hits) ->
+                  Obj
+                    [
+                      ("cvm", num_of_int cvm);
+                      ("page", Str (Printf.sprintf "0x%Lx" page));
+                      ( "region",
+                        match region with Some r -> Str r | None -> Null );
+                      ("hits", num_of_int hits);
+                    ])
+                (Metrics.Profile.top_pages ~k:3 p)) );
+       ]);
+  if overhead_pct < 5. then Ok ()
+  else Error (Printf.sprintf "profiler overhead %.2f%% (>= 5%%)" overhead_pct)
 
 (* ---------- Table I : RV8 ---------- *)
 
-let bench_rv8 () =
+let bench_rv8 ~quick:_ =
   Metrics.Table.section
     "Table I — RV8 benchmarks (10^9 cycles, normal VM vs confidential VM)";
-  let rows = Platform.Exp_rv8.run_table1 () in
+  let open Platform.Exp_rv8 in
+  let rows = run_table1 () in
   Metrics.Table.print
     ~header:
       [ "benchmark"; "normal VM"; "confidential VM"; "overhead %";
         "paper %" ]
     (List.map
-       (fun (r : Platform.Exp_rv8.row) ->
+       (fun r ->
          [
-           r.Platform.Exp_rv8.name;
-           fixed 3 r.Platform.Exp_rv8.normal_gcycles;
-           fixed 3 r.Platform.Exp_rv8.cvm_gcycles;
-           pct r.Platform.Exp_rv8.overhead_pct;
-           pct r.Platform.Exp_rv8.paper_overhead_pct;
+           r.name;
+           fixed 3 r.normal_gcycles;
+           fixed 3 r.cvm_gcycles;
+           pct r.overhead_pct;
+           pct r.paper_overhead_pct;
          ])
        rows);
   Printf.printf "average overhead: %+.2f%% (paper +2.59%%)\n"
-    (Platform.Exp_rv8.average_overhead rows);
+    (average_overhead rows);
   print_endline "kernel checksums (correctness witnesses):";
   List.iter
-    (fun (r : Platform.Exp_rv8.row) ->
-      Printf.printf "  %-10s %s\n" r.Platform.Exp_rv8.name
-        (let c = r.Platform.Exp_rv8.checksum in
+    (fun r ->
+      Printf.printf "  %-10s %s\n" r.name
+        (let c = r.checksum in
          if String.length c > 32 then String.sub c 0 32 ^ "..." else c))
-    rows
+    rows;
+  Ok ()
 
 (* ---------- CoreMark ---------- *)
 
-let bench_coremark () =
+let bench_coremark ~quick:_ =
   Metrics.Table.section "§V.D — CoreMark";
-  let r = Platform.Exp_rv8.run_coremark () in
-  let paper_n, paper_c = Platform.Exp_rv8.paper_coremark in
+  let open Platform.Exp_rv8 in
+  let r = run_coremark () in
+  let paper_n, paper_c = paper_coremark in
   Metrics.Table.print
     ~header:[ "metric"; "measured"; "paper" ]
     [
-      [ "normal VM score"; fixed 1 r.Platform.Exp_rv8.normal_score;
-        fixed 1 paper_n ];
-      [ "confidential VM score"; fixed 1 r.Platform.Exp_rv8.cvm_score;
-        fixed 1 paper_c ];
-      [ "drop %"; fixed 2 r.Platform.Exp_rv8.drop_pct;
+      [ "normal VM score"; fixed 1 r.normal_score; fixed 1 paper_n ];
+      [ "confidential VM score"; fixed 1 r.cvm_score; fixed 1 paper_c ];
+      [ "drop %"; fixed 2 r.drop_pct;
         fixed 2 ((paper_n -. paper_c) /. paper_n *. 100.) ];
-      [ "validation CRC"; (if r.Platform.Exp_rv8.crc_ok then "ok" else "FAIL");
-        "ok" ];
-    ]
+      [ "validation CRC"; (if r.crc_ok then "ok" else "FAIL"); "ok" ];
+    ];
+  Ok ()
 
 (* ---------- Simulator fast path : instructions per wall-second ---------- *)
 
@@ -399,111 +337,109 @@ let bench_coremark () =
    Table-I rv8 entries are analytic op-count models, so they cannot
    exercise the interpreter; Exp_sim's mixes are real guest loops
    stepped instruction by instruction — once with the fast path off,
-   once on — asserting registers, pc, minstret and the full cycle
-   ledger identical. Emits BENCH_sim.json; CI gates speedup >= 3x per
-   workload. *)
+   once on. Emits BENCH_sim.json and gates every workload on registers,
+   pc, minstret and the full cycle ledger identical, and on a speedup
+   of at least 3x. *)
 
-let bench_sim () =
+let bench_sim ~quick =
   Metrics.Table.section
     "Simulator fast path — instructions per wall-second (A/B)";
+  let open Platform.Exp_sim in
   let steps = if quick then 400_000 else 2_000_000 in
-  let results =
-    List.map (fun w -> Platform.Exp_sim.ab_compare w ~steps)
-      Platform.Exp_sim.all
-  in
+  let results = List.map (fun w -> ab_compare w ~steps) all in
   Metrics.Table.print
     ~header:
       [ "workload"; "baseline instr/s"; "fast instr/s"; "speedup";
         "arch state + ledger" ]
     (List.map
-       (fun (r : Platform.Exp_sim.ab) ->
+       (fun r ->
          [
-           Platform.Exp_sim.name r.Platform.Exp_sim.workload;
-           fixed 0 r.Platform.Exp_sim.baseline_ips;
-           fixed 0 r.Platform.Exp_sim.fast_ips;
-           Printf.sprintf "%.2fx" r.Platform.Exp_sim.speedup;
-           (if r.Platform.Exp_sim.identical then "identical" else "DIVERGED");
+           name r.workload;
+           fixed 0 r.baseline_ips;
+           fixed 0 r.fast_ips;
+           Printf.sprintf "%.2fx" r.speedup;
+           (if r.identical then "identical" else "DIVERGED");
          ])
        results);
-  List.iter
-    (fun (r : Platform.Exp_sim.ab) ->
-      if not r.Platform.Exp_sim.identical then begin
-        Printf.printf "FAIL: %s diverged between fast and slow stepping\n"
-          (Platform.Exp_sim.name r.Platform.Exp_sim.workload);
-        exit 1
-      end)
-    results;
-  Platform.Exp_sim.write_json "BENCH_sim.json" ~steps results;
-  print_endline "wrote BENCH_sim.json"
+  write_json "BENCH_sim.json" (to_json ~steps results);
+  verdict
+    (List.concat_map
+       (fun r ->
+         (if r.identical then []
+          else [ name r.workload ^ " diverged between fast and slow stepping" ])
+         @
+         if r.speedup >= 3. then []
+         else
+           [ Printf.sprintf "%s speedup %.2fx (< 3x)" (name r.workload)
+               r.speedup ])
+       results)
 
 (* ---------- Figure 3 : Redis ---------- *)
 
-let bench_redis () =
+let bench_redis ~quick =
   Metrics.Table.section
     "Figure 3 — Redis throughput and latency (10 rounds x 10,000 requests)";
+  let open Platform.Exp_redis in
   let rounds, requests = if quick then (2, 1000) else (10, 10_000) in
-  let rows = Platform.Exp_redis.run ~rounds ~requests () in
+  let rows = run ~rounds ~requests () in
   Metrics.Table.print
     ~header:
       [ "operation"; "normal kQPS"; "CVM kQPS"; "thr. drop %";
         "normal lat ms"; "CVM lat ms"; "lat incr %" ]
     (List.map
-       (fun (r : Platform.Exp_redis.row) ->
+       (fun r ->
          [
-           r.Platform.Exp_redis.op;
-           fixed 3 r.Platform.Exp_redis.normal_kqps;
-           fixed 3 r.Platform.Exp_redis.cvm_kqps;
-           fixed 2 r.Platform.Exp_redis.throughput_drop_pct;
-           fixed 2 r.Platform.Exp_redis.normal_latency_ms;
-           fixed 2 r.Platform.Exp_redis.cvm_latency_ms;
-           fixed 2 r.Platform.Exp_redis.latency_increase_pct;
+           r.op;
+           fixed 3 r.normal_kqps;
+           fixed 3 r.cvm_kqps;
+           fixed 2 r.throughput_drop_pct;
+           fixed 2 r.normal_latency_ms;
+           fixed 2 r.cvm_latency_ms;
+           fixed 2 r.latency_increase_pct;
          ])
        rows);
   print_endline "\nthroughput by operation (kQPS):";
   print_string
     (Metrics.Chart.grouped_bars ~group_labels:[ "normal"; "CVM" ]
-       (List.map
-          (fun (r : Platform.Exp_redis.row) ->
-            ( r.Platform.Exp_redis.op,
-              [ r.Platform.Exp_redis.normal_kqps;
-                r.Platform.Exp_redis.cvm_kqps ] ))
-          rows));
-  let pt, pl = Platform.Exp_redis.paper_avgs in
+       (List.map (fun r -> (r.op, [ r.normal_kqps; r.cvm_kqps ])) rows));
+  let pt, pl = paper_avgs in
   Printf.printf
     "average: throughput -%.2f%% (paper -%.1f%%), latency +%.2f%% (paper +%.1f%%)\n"
-    (Platform.Exp_redis.average_throughput_drop rows)
+    (average_throughput_drop rows)
     pt
-    (Platform.Exp_redis.average_latency_increase rows)
-    pl
+    (average_latency_increase rows)
+    pl;
+  Ok ()
 
 (* ---------- Figure 4 : IOZone ---------- *)
 
-let bench_iozone () =
+let bench_iozone ~quick:_ =
   Metrics.Table.section
     "Figure 4 — IOZone sequential I/O throughput (MB/s)";
-  let points = Platform.Exp_iozone.run () in
-  let by_op op =
-    List.filter (fun p -> p.Platform.Exp_iozone.op = op) points
+  let open Platform.Exp_iozone in
+  let points = run () in
+  let human kb =
+    if kb >= 1024 then Printf.sprintf "%dM" (kb / 1024)
+    else Printf.sprintf "%dK" kb
   in
   let print_op name op =
     Printf.printf "\n%s:\n" name;
     Metrics.Table.print
       ~header:
         [ "file"; "record"; "normal MB/s"; "CVM MB/s"; "overhead %" ]
-      (List.map
-         (fun (pnt : Platform.Exp_iozone.point) ->
-           let human kb =
-             if kb >= 1024 then Printf.sprintf "%dM" (kb / 1024)
-             else Printf.sprintf "%dK" kb
-           in
-           [
-             human pnt.Platform.Exp_iozone.file_kb;
-             human pnt.Platform.Exp_iozone.record_kb;
-             fixed 2 pnt.Platform.Exp_iozone.normal_mb_s;
-             fixed 2 pnt.Platform.Exp_iozone.cvm_mb_s;
-             pct pnt.Platform.Exp_iozone.overhead_pct;
-           ])
-         (by_op op))
+      (List.filter_map
+         (fun p ->
+           if p.op <> op then None
+           else
+             Some
+               [
+                 human p.file_kb;
+                 human p.record_kb;
+                 fixed 2 p.normal_mb_s;
+                 fixed 2 p.cvm_mb_s;
+                 pct p.overhead_pct;
+               ])
+         points)
   in
   print_op "sequential write" Workloads.Iozone.Write;
   print_op "sequential read" Workloads.Iozone.Read;
@@ -514,14 +450,11 @@ let bench_iozone () =
       (fun record_kb ->
         ( Printf.sprintf "%d KiB records" record_kb,
           List.filter_map
-            (fun (p : Platform.Exp_iozone.point) ->
-              if
-                p.Platform.Exp_iozone.op = op
-                && p.Platform.Exp_iozone.record_kb = record_kb
-              then
+            (fun p ->
+              if p.op = op && p.record_kb = record_kb then
                 Some
-                  ( log (float_of_int p.Platform.Exp_iozone.file_kb) /. log 2.,
-                    p.Platform.Exp_iozone.overhead_pct )
+                  ( log (float_of_int p.file_kb) /. log 2.,
+                    p.overhead_pct )
               else None)
             points ))
       Workloads.Iozone.record_sizes_kb
@@ -532,18 +465,19 @@ let bench_iozone () =
        (overhead_series Workloads.Iozone.Write));
   Printf.printf
     "\nmax overhead %.1f%% (paper: up to 20%%); files <= 16 MiB max %.1f%% (paper: under 5%%)\n"
-    (Platform.Exp_iozone.max_overhead points)
-    (Platform.Exp_iozone.small_file_max_overhead points)
+    (max_overhead points)
+    (small_file_max_overhead points);
+  Ok ()
 
 (* ---------- Exitless virtio rings ---------- *)
 
 (* Byzantine-host-tolerant exitless I/O: a real-guest micro comparison
    (MMIO doorbells per 1k requests, exitful vs ring), the event-priced
    iozone/redis deltas with the confidential arm switched to the ring
-   path, and the ring-poison sweep summary. Emits BENCH_exitless.json
-   and fails the run if the ring eliminates fewer than 90% of the
-   virtio kicks. *)
-let bench_exitless () =
+   path, and the ring-poison sweep over every packaged vector. Emits
+   BENCH_exitless.json and fails unless the ring eliminates at least
+   90% of the virtio kicks and every poison vector is blocked. *)
+let bench_exitless ~quick =
   Metrics.Table.section "Exitless virtio rings — doorbells eliminated";
   let len = 256 in
   (* Exitful arm: every request is an MMIO kick plus a status read. *)
@@ -653,76 +587,65 @@ let bench_exitless () =
     ((io_l -. io_f) /. io_f *. 100.)
     drop_f drop_l;
   (* Ring-poison sweep: every packaged vector against a fresh stack. *)
-  let vectors =
-    [
-      ("desc_gpa", Hypervisor.Attacks.ring_poison_desc_gpa);
-      ("desc_len", Hypervisor.Attacks.ring_poison_desc_len);
-      ("used_rewind", Hypervisor.Attacks.ring_used_rewind);
-      ("used_replay", Hypervisor.Attacks.ring_used_replay);
-      ("avail_runaway", Hypervisor.Attacks.ring_avail_runaway);
-    ]
+  let vectors = Hypervisor.Attacks.ring_vectors in
+  let leaked =
+    List.filter_map
+      (fun (name, attack) ->
+        let tb = Platform.Testbed.create () in
+        let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "p") in
+        match attack tb.Platform.Testbed.kvm h with
+        | Hypervisor.Attacks.Blocked why ->
+            Printf.printf "  poison %-17s blocked: %s\n" name why;
+            None
+        | Hypervisor.Attacks.Leaked why ->
+            Printf.printf "  poison %-17s LEAKED: %s\n" name why;
+            Some name)
+      vectors
   in
-  let blocked = ref 0 in
-  List.iter
-    (fun (name, attack) ->
-      let tb = Platform.Testbed.create () in
-      let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "p") in
-      match attack tb.Platform.Testbed.kvm h with
-      | Hypervisor.Attacks.Blocked why ->
-          incr blocked;
-          Printf.printf "  poison %-14s blocked: %s\n" name why
-      | Hypervisor.Attacks.Leaked why ->
-          Printf.printf "  poison %-14s LEAKED: %s\n" name why)
-    vectors;
-  let json =
-    Printf.sprintf
-      {|{
-  "micro": {
-    "requests": %d,
-    "exitful_mmio_exits": %d,
-    "exitless_mmio_exits": %d,
-    "exitful_exits_per_1k": %.1f,
-    "exitless_exits_per_1k": %.1f,
-    "kick_reduction_pct": %.2f,
-    "kicks_suppressed": %d,
-    "used_publishes": %d
-  },
-  "iozone": {
-    "cvm_mean_mb_s_exitful": %.3f,
-    "cvm_mean_mb_s_exitless": %.3f,
-    "gain_pct": %.3f
-  },
-  "redis": {
-    "throughput_drop_pct_exitful": %.3f,
-    "throughput_drop_pct_exitless": %.3f
-  },
-  "poison_sweep": {
-    "vectors": %d,
-    "blocked": %d
-  }
-}
-|}
-      requests exitful_exits exitless_exits (per_1k exitful_exits)
-      (per_1k exitless_exits) reduction suppressed notifications io_f io_l
-      ((io_l -. io_f) /. io_f *. 100.)
-      drop_f drop_l (List.length vectors) !blocked
-  in
-  let oc = open_out "BENCH_exitless.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_exitless.json";
-  if reduction < 90. then begin
-    Printf.printf "FAIL: exitless ring eliminated only %.1f%% of kicks (< 90%%)\n"
-      reduction;
-    exit 1
-  end;
-  if !blocked <> List.length vectors then begin
-    print_endline "FAIL: a ring-poison vector was not blocked";
-    exit 1
-  end;
-  print_endline "exitless ring checks: OK"
-
-(* ---------- Ablations ---------- *)
+  let open Metrics.Export in
+  let n = num_of_int in
+  write_json "BENCH_exitless.json"
+    (Obj
+       [
+         ( "micro",
+           Obj
+             [
+               ("requests", n requests);
+               ("exitful_mmio_exits", n exitful_exits);
+               ("exitless_mmio_exits", n exitless_exits);
+               ("exitful_exits_per_1k", num_dp 1 (per_1k exitful_exits));
+               ("exitless_exits_per_1k", num_dp 1 (per_1k exitless_exits));
+               ("kick_reduction_pct", num_dp 2 reduction);
+               ("kicks_suppressed", n suppressed);
+               ("used_publishes", n notifications);
+             ] );
+         ( "iozone",
+           Obj
+             [
+               ("cvm_mean_mb_s_exitful", num_dp 3 io_f);
+               ("cvm_mean_mb_s_exitless", num_dp 3 io_l);
+               ("gain_pct", num_dp 3 ((io_l -. io_f) /. io_f *. 100.));
+             ] );
+         ( "redis",
+           Obj
+             [
+               ("throughput_drop_pct_exitful", num_dp 3 drop_f);
+               ("throughput_drop_pct_exitless", num_dp 3 drop_l);
+             ] );
+         ( "poison_sweep",
+           Obj
+             [
+               ("vectors", n (List.length vectors));
+               ("blocked", n (List.length vectors - List.length leaked));
+             ] );
+       ]);
+  verdict
+    ((if reduction >= 90. then []
+      else
+        [ Printf.sprintf
+            "exitless ring eliminated only %.1f%% of kicks (< 90%%)"
+            reduction ])
+    @ List.map (fun v -> "ring-poison vector " ^ v ^ " was not blocked") leaked)
 
 (* ---------- attested inter-CVM channels: RTT + bandwidth ---------- *)
 
@@ -736,9 +659,9 @@ let bench_exitless () =
    switches). Both arms pace themselves with seq spins and run under
    the same run-slice alternation, so the beat structure is identical;
    the arms differ exactly by who moves the bytes and how many beats a
-   hop needs. Emits BENCH_channel.json and fails the run unless the
-   channel RTT is strictly below the bounce baseline's. *)
-let bench_channel () =
+   hop needs. Emits BENCH_channel.json and fails unless the channel
+   RTT is strictly below the bounce baseline's. *)
+let bench_channel ~quick =
   Metrics.Table.section
     "Attested inter-CVM channels — ping-pong RTT and bandwidth";
   let rounds = if quick then 6 else 12 in
@@ -885,82 +808,76 @@ let bench_channel () =
     chan_rtt bounce_rtt
     ((bounce_rtt -. chan_rtt) /. bounce_rtt *. 100.)
     chan_mb bounce_mb;
-  let json =
-    Printf.sprintf
-      {|{
-  "rounds": %d,
-  "rtt_msg_bytes": %d,
-  "bw_msg_bytes": %d,
-  "channel": { "rtt_cycles": %.1f, "bandwidth_mb_s": %.3f },
-  "host_bounce": { "rtt_cycles": %.1f, "bandwidth_mb_s": %.3f },
-  "rtt_reduction_pct": %.2f
-}
-|}
-      rounds rtt_len bw_len chan_rtt chan_mb bounce_rtt bounce_mb
-      ((bounce_rtt -. chan_rtt) /. bounce_rtt *. 100.)
+  let open Metrics.Export in
+  let arm rtt mb =
+    Obj [ ("rtt_cycles", num_dp 1 rtt); ("bandwidth_mb_s", num_dp 3 mb) ]
   in
-  let oc = open_out "BENCH_channel.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_channel.json";
-  if chan_rtt >= bounce_rtt then begin
-    Printf.printf
-      "FAIL: channel RTT %.0f cycles is not below the host-bounce baseline \
-       %.0f\n"
-      chan_rtt bounce_rtt;
-    exit 1
-  end
+  write_json "BENCH_channel.json"
+    (Obj
+       [
+         ("rounds", num_of_int rounds);
+         ("rtt_msg_bytes", num_of_int rtt_len);
+         ("bw_msg_bytes", num_of_int bw_len);
+         ("channel", arm chan_rtt chan_mb);
+         ("host_bounce", arm bounce_rtt bounce_mb);
+         ( "rtt_reduction_pct",
+           num_dp 2 ((bounce_rtt -. chan_rtt) /. bounce_rtt *. 100.) );
+       ]);
+  if chan_rtt < bounce_rtt then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "channel RTT %.0f cycles is not below the host-bounce baseline %.0f"
+         chan_rtt bounce_rtt)
 
-let bench_ablations () =
+(* ---------- Ablations ---------- *)
+
+let bench_ablations ~quick:_ =
+  let open Platform.Exp_ablation in
   Metrics.Table.section "Ablation — secure-memory block size";
   Metrics.Table.print
     ~header:[ "block"; "stage-1 faults %"; "avg fault cycles" ]
     (List.map
-       (fun (p : Platform.Exp_ablation.block_size_point) ->
+       (fun (p : block_size_point) ->
          [
-           Printf.sprintf "%d KiB" p.Platform.Exp_ablation.block_kb;
-           fixed 1 p.Platform.Exp_ablation.stage1_pct;
-           fixed 0 p.Platform.Exp_ablation.avg_fault_cycles;
+           Printf.sprintf "%d KiB" p.block_kb;
+           fixed 1 p.stage1_pct;
+           fixed 0 p.avg_fault_cycles;
          ])
-       (Platform.Exp_ablation.block_size_sweep ()));
+       (block_size_sweep ()));
 
   Metrics.Table.section "Ablation — vCPU page cache";
-  let c = Platform.Exp_ablation.page_cache_ablation () in
+  let c = page_cache_ablation () in
   Metrics.Table.print
     ~header:[ "configuration"; "avg fault cycles" ]
     [
-      [ "with per-vCPU page cache";
-        fixed 0 c.Platform.Exp_ablation.with_cache_avg ];
-      [ "without (every fault grabs the list)";
-        fixed 0 c.Platform.Exp_ablation.without_cache_avg ];
-      [ "penalty"; pct c.Platform.Exp_ablation.penalty_pct ];
+      [ "with per-vCPU page cache"; fixed 0 c.with_cache_avg ];
+      [ "without (every fault grabs the list)"; fixed 0 c.without_cache_avg ];
+      [ "penalty"; pct c.penalty_pct ];
     ];
 
   Metrics.Table.section "Ablation — hardened entry (shared-subtree sweep)";
   Metrics.Table.print
     ~header:[ "mapped shared pages"; "CVM entry cycles" ]
     (List.map
-       (fun (p : Platform.Exp_ablation.hardened_point) ->
-         [
-           string_of_int p.Platform.Exp_ablation.shared_pages;
-           string_of_int p.Platform.Exp_ablation.entry_cycles;
-         ])
-       (Platform.Exp_ablation.hardened_entry_costs ()));
+       (fun p -> [ string_of_int p.shared_pages; string_of_int p.entry_cycles ])
+       (hardened_entry_costs ()));
 
   Metrics.Table.section "Ablation — concurrent-CVM scalability";
-  let s = Platform.Exp_ablation.scalability () in
+  let s = scalability () in
   Metrics.Table.print
     ~header:[ "design"; "concurrent confidential VMs" ]
     [
       [ "CURE/VirTEE-style (PMP region each)";
-        string_of_int s.Platform.Exp_ablation.cure_style_limit ];
+        string_of_int s.cure_style_limit ];
       [ "ZION (PMP pool + paging), demonstrated";
-        string_of_int s.Platform.Exp_ablation.zion_cvms_run ];
-    ]
+        string_of_int s.zion_cvms_run ];
+    ];
+  Ok ()
 
 (* ---------- calibration sensitivity ---------- *)
 
-let bench_sensitivity () =
+let bench_sensitivity ~quick:_ =
   Metrics.Table.section
     "Calibration sensitivity — relative claims under scaled cost models";
   (* Scale every calibrated constant and check the paper's headline
@@ -998,11 +915,12 @@ let bench_sensitivity () =
        (fun scale ->
          let a, b = ratios scale in
          [ fixed 2 scale; fixed 2 a; fixed 2 b ])
-       [ 0.5; 1.0; 2.0; 4.0 ])
+       [ 0.5; 1.0; 2.0; 4.0 ]);
+  Ok ()
 
 (* ---------- Bechamel: wall-clock microbenchmarks ---------- *)
 
-let bechamel_section () =
+let bechamel_section ~quick =
   Metrics.Table.section
     "Simulator microbenchmarks (Bechamel, host wall-clock ns/op)";
   let open Bechamel in
@@ -1078,40 +996,14 @@ let bechamel_section () =
     ~header:[ "operation"; "ns/op (host)" ]
     (List.map
        (fun (n, v) -> [ n; fixed 1 v ])
-       (List.sort compare !rows))
+       (List.sort compare !rows));
+  Ok ()
 
-let () =
-  print_endline "ZION paper-reproduction benchmark harness";
-  print_endline
-    (if quick then "(quick mode: reduced Redis request counts)"
-     else "(full mode; pass --quick for a fast run)");
-  if Array.exists (fun a -> a = "--only-channel") Sys.argv then begin
-    (* CI's channel smoke: just the inter-CVM channel micro and gate. *)
-    bench_channel ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "--only-sim") Sys.argv then begin
-    (* Interpreter fast-path A/B only: BENCH_sim.json and its gate. *)
-    bench_sim ();
-    exit 0
-  end;
-  bench_switches ();
-  bench_tlb_retention ();
-  bench_faults ();
-  bench_observability ();
-  bench_profile ();
-  bench_rv8 ();
-  bench_coremark ();
-  bench_sim ();
-  bench_redis ();
-  bench_iozone ();
-  bench_exitless ();
-  bench_channel ();
-  bench_ablations ();
-  bench_sensitivity ();
-  bechamel_section ();
-  (* Close with a platform-wide invariant sweep on a freshly exercised
-     stack: the harness must leave no isolation property broken. *)
+(* ---------- post-run security audit ---------- *)
+
+(* A platform-wide invariant sweep on a freshly exercised stack: the
+   harness must leave no isolation property broken. *)
+let bench_audit ~quick:_ =
   Metrics.Table.section "Post-run security audit";
   let tb = Platform.Testbed.create () in
   let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "audit") in
@@ -1121,9 +1013,69 @@ let () =
    with
   | Hypervisor.Kvm.C_shutdown -> ()
   | _ -> print_endline "warning: audit guest did not shut down");
-  (match Zion.Monitor.audit tb.Platform.Testbed.monitor with
-  | Ok n -> Printf.printf "audit: %d facts checked, no violations\n" n
+  match Zion.Monitor.audit tb.Platform.Testbed.monitor with
+  | Ok n ->
+      Printf.printf "audit: %d facts checked, no violations\n" n;
+      Ok ()
   | Error findings ->
       print_endline "AUDIT VIOLATIONS:";
-      List.iter print_endline findings);
-  print_endline "\nAll experiment sections completed."
+      List.iter print_endline findings;
+      Error (Printf.sprintf "%d audit violation(s)" (List.length findings))
+
+(* ---------- the experiment registry ---------- *)
+
+(* Every section, in run order. A section prints its tables, writes its
+   BENCH file if it has one, and returns [Error] when its gate fails. *)
+let sections =
+  [
+    ("vb-switch", bench_switches);
+    ("tlb-retention", bench_tlb_retention);
+    ("vc-page-fault", bench_faults);
+    ("observability", bench_observability);
+    ("profiler", bench_profile);
+    ("t1-rv8", bench_rv8);
+    ("coremark", bench_coremark);
+    ("sim", bench_sim);
+    ("fig3-redis", bench_redis);
+    ("fig4-iozone", bench_iozone);
+    ("exitless", bench_exitless);
+    ("channel", bench_channel);
+    ("ablations", bench_ablations);
+    ("sensitivity", bench_sensitivity);
+    ("bechamel", bechamel_section);
+    ("audit", bench_audit);
+  ]
+
+let () =
+  let args = List.tl (Array.to_list Sys.argv) in
+  let quick = List.mem "--quick" args in
+  let names = List.filter (fun a -> a <> "--quick") args in
+  (match List.filter (fun n -> not (List.mem_assoc n sections)) names with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown section(s): %s\nvalid sections: %s\n"
+        (String.concat " " unknown)
+        (String.concat " " (List.map fst sections));
+      exit 2);
+  print_endline "ZION paper-reproduction benchmark harness";
+  print_endline
+    (if quick then "(quick mode: reduced Redis request counts)"
+     else "(full mode; pass --quick for a fast run)");
+  let failures =
+    List.filter_map
+      (fun (name, section) ->
+        if names <> [] && not (List.mem name names) then None
+        else
+          match section ~quick with
+          | Ok () -> None
+          | Error msg -> Some (name, msg)
+          | exception e -> Some (name, Printexc.to_string e))
+      sections
+  in
+  if failures = [] then print_endline "\nAll experiment sections completed."
+  else begin
+    print_newline ();
+    List.iter (fun (name, msg) -> Printf.printf "FAIL [%s]: %s\n" name msg)
+      failures;
+    exit 1
+  end

@@ -67,6 +67,11 @@ val ring_avail_runaway : Kvm.t -> Kvm.cvm_handle -> outcome
 (** Run the avail index far past everything published (wrap flood);
     the host clamps, the guest sees phantom completions. *)
 
+val ring_vectors : (string * (Kvm.t -> Kvm.cvm_handle -> outcome)) list
+(** Every ring-poison vector above, by its CLI name ([desc-gpa], ...),
+    in declaration order: the one list the bench sweep, [zionctl io
+    --poison] and the tests iterate. *)
+
 (** {2 Hostile-peer channel attacks}
 
     Vectors against the attested inter-CVM channel ([Zion.Monitor]'s
@@ -100,3 +105,9 @@ val chan_quarantined_peer :
 (** Quarantine one endpoint of an Established channel; the implicit
     revoke must scrub and unmap both halves while the other endpoint
     keeps running. *)
+
+val chan_vectors :
+  (string * (Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome)) list
+(** Every hostile-peer channel vector above, by its CLI name
+    ([poison-seq], ...): the one list [zionctl channel --attack] and the
+    tests iterate. *)

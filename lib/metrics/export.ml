@@ -7,6 +7,7 @@ type json =
   | Obj of (string * json) list
 
 let num_of_int i = Num (float_of_int i)
+let num_dp digits f = Num (float_of_string (Printf.sprintf "%.*f" digits f))
 
 (* ---------- serialization ---------- *)
 
@@ -27,7 +28,11 @@ let escape_into b s =
 let add_num b f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" f)
-  else Buffer.add_string b (Printf.sprintf "%.17g" f)
+  else
+    (* Shortest of %.15g / %.17g that reads back as the same float. *)
+    let s = Printf.sprintf "%.15g" f in
+    Buffer.add_string b
+      (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
 
 let json_to_string v =
   let b = Buffer.create 256 in

@@ -18,9 +18,15 @@ type json =
 
 val num_of_int : int -> json
 
+val num_dp : int -> float -> json
+(** [num_dp d f] is [f] rounded to [d] decimal places exactly as
+    [Printf "%.*f"] rounds it, so a report keeps the precision its
+    text rendering shows. *)
+
 val json_to_string : json -> string
 (** Compact, valid JSON. Integral [Num]s print without a decimal
-    point so the output round-trips textually for counter values. *)
+    point so the output round-trips textually for counter values;
+    other [Num]s print in the fewest digits that read back exactly. *)
 
 val parse_json : string -> (json, string) result
 (** Total recursive-descent parser for the subset [json_to_string]

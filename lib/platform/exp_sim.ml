@@ -177,16 +177,22 @@ let ab_compare workload ~steps =
     identical = slow.state = fast.state;
   }
 
-let write_json path ~steps results =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"steps_per_run\": %d,\n  \"workloads\": [\n" steps;
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"baseline_ips\": %.0f, \"fast_ips\": %.0f, \
-         \"speedup\": %.3f, \"identical\": %b}%s\n"
-        (name r.workload) r.baseline_ips r.fast_ips r.speedup r.identical
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+let to_json ~steps results =
+  let open Metrics.Export in
+  Obj
+    [
+      ("steps_per_run", num_of_int steps);
+      ( "workloads",
+        List
+          (List.map
+             (fun r ->
+               Obj
+                 [
+                   ("name", Str (name r.workload));
+                   ("baseline_ips", num_dp 0 r.baseline_ips);
+                   ("fast_ips", num_dp 0 r.fast_ips);
+                   ("speedup", num_dp 3 r.speedup);
+                   ("identical", Bool r.identical);
+                 ])
+             results) );
+    ]

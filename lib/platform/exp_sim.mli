@@ -42,5 +42,6 @@ type ab = {
 val ab_compare : workload -> steps:int -> ab
 (** Run [workload] with the fast path off then on; compare. *)
 
-val write_json : string -> steps:int -> ab list -> unit
-(** Emit the BENCH_sim.json shape CI gates on. *)
+val to_json : steps:int -> ab list -> Metrics.Export.json
+(** The BENCH_sim.json document: [steps_per_run] and one [workloads]
+    row per A/B. *)

@@ -403,18 +403,21 @@ let attack_case name vector =
       | Hypervisor.Attacks.Leaked why -> Alcotest.fail ("LEAKED: " ^ why));
       check_audit_clean mon name)
 
-let attack_tests =
+(* One case per packaged vector; a vector added without a title here
+   fails at registration (List.assoc raises). *)
+let attack_titles =
   [
-    attack_case "seq runaway degrades within budget"
-      Hypervisor.Attacks.chan_poison_seq;
-    attack_case "host alias of the live ring" Hypervisor.Attacks.chan_map_ring;
-    attack_case "stale-epoch accept refused"
-      Hypervisor.Attacks.chan_accept_stale_epoch;
-    attack_case "grantor destroyed mid-accept"
-      Hypervisor.Attacks.chan_peer_destroyed_mid_accept;
-    attack_case "endpoint quarantined at a live channel"
-      Hypervisor.Attacks.chan_quarantined_peer;
+    ("poison-seq", "seq runaway degrades within budget");
+    ("map-ring", "host alias of the live ring");
+    ("stale-epoch", "stale-epoch accept refused");
+    ("destroyed-grantor", "grantor destroyed mid-accept");
+    ("quarantined-peer", "endpoint quarantined at a live channel");
   ]
+
+let attack_tests =
+  List.map
+    (fun (name, vector) -> attack_case (List.assoc name attack_titles) vector)
+    Hypervisor.Attacks.chan_vectors
 
 (* ---------- teardown hygiene ---------- *)
 

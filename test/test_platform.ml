@@ -269,6 +269,39 @@ let ablation_tests =
           > s.Platform.Exp_ablation.cure_style_limit));
   ]
 
+let sim_tests =
+  [
+    Alcotest.test_case "BENCH_sim JSON parses back with 3 workloads" `Quick
+      (fun () ->
+        let results =
+          List.map
+            (fun w -> Platform.Exp_sim.ab_compare w ~steps:2_000)
+            Platform.Exp_sim.all
+        in
+        let text =
+          Metrics.Export.json_to_string
+            (Platform.Exp_sim.to_json ~steps:2_000 results)
+        in
+        match Metrics.Export.parse_json text with
+        | Error e -> Alcotest.fail e
+        | Ok doc -> (
+            Alcotest.(check bool)
+              "steps_per_run" true
+              (Metrics.Export.member "steps_per_run" doc
+              = Some (Metrics.Export.Num 2000.));
+            match Metrics.Export.member "workloads" doc with
+            | Some (Metrics.Export.List ws) ->
+                Alcotest.(check int) "workloads" 3 (List.length ws);
+                List.iter
+                  (fun w ->
+                    Alcotest.(check bool)
+                      "identical" true
+                      (Metrics.Export.member "identical" w
+                      = Some (Metrics.Export.Bool true)))
+                  ws
+            | _ -> Alcotest.fail "no workloads list"));
+  ]
+
 let suite =
   [
     ("platform.switch", switch_tests);
@@ -277,4 +310,5 @@ let suite =
     ("platform.table1", table1_tests);
     ("platform.redis-iozone", redis_iozone_tests);
     ("platform.ablation", ablation_tests);
+    ("platform.sim", sim_tests);
   ]
