@@ -204,16 +204,19 @@ let bench_observability ~quick:_ =
 (* ---------- Observability: profiler sampling overhead ---------- *)
 
 (* Wall-clock cost of the guest PC-sampling hook: after one warm-up
-   run, alternate the profiler off and on (default interval) three
-   times over the same interpreter-bound guest and compare the best
-   host time of each arm, so neither arm gets the warmer caches. The
-   disabled path is one dead branch per retired instruction; the
-   enabled path a decrement/compare/store — the contract is < 5 %
-   overhead. Emits BENCH_profile.json. *)
+   run, [pairs] off/on pairs over the same interpreter-bound guest,
+   timed on the monotonic clock, with the order flipped every pair
+   (off-on, on-off, ...) so neither arm always runs second. Each pair
+   gives one overhead ratio; the gate is on their median, with the IQR
+   printed as the noise band, because a single run on a small shared
+   host reads anywhere within about ±10 %. The disabled path is one
+   dead branch per retired instruction; the enabled path a
+   decrement/compare/store — the contract is < 5 % overhead. Emits
+   BENCH_profile.json. *)
 let bench_profile ~quick:_ =
   Metrics.Table.section
     "Observability — PC-sampling profiler overhead (host wall-clock)";
-  let steps = 2_000_000 in
+  let steps = 200_000 in
   let interval = 64 in
   let tb = Platform.Testbed.create () in
   let mon = tb.Platform.Testbed.monitor in
@@ -221,36 +224,55 @@ let bench_profile ~quick:_ =
      instructions of pure interpreter work. *)
   let handle = Platform.Testbed.cvm tb [ Riscv.Decode.Jal (0, 0L) ] in
   let one_run () =
-    let t0 = Sys.time () in
+    let t0 = Monotonic_clock.now () in
     (match
        Hypervisor.Kvm.run_cvm tb.Platform.Testbed.kvm handle ~hart:0
          ~max_steps:steps
      with
     | Hypervisor.Kvm.C_limit -> ()
     | _ -> failwith "bench_profile: expected step-limit exit");
-    Sys.time () -. t0
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+  in
+  let profiled () =
+    Zion.Monitor.enable_profiler ~interval mon;
+    let s = one_run () in
+    Zion.Monitor.disable_profiler mon;
+    s
   in
   ignore (one_run ()) (* warm up allocator and code paths *);
-  let off_s = ref infinity and on_s = ref infinity in
-  for _ = 1 to 3 do
-    off_s := Float.min !off_s (one_run ());
-    Zion.Monitor.enable_profiler ~interval mon;
-    on_s := Float.min !on_s (one_run ());
-    Zion.Monitor.disable_profiler mon
-  done;
-  let off_s = !off_s and on_s = !on_s in
-  let overhead_pct = (on_s -. off_s) /. off_s *. 100. in
+  let pairs = 100 in
+  (* (off, on) seconds; [Array.init] runs the pairs in index order. *)
+  let runs =
+    Array.init pairs (fun i ->
+        if i mod 2 = 0 then
+          let off = one_run () in
+          (off, profiled ())
+        else
+          let on = profiled () in
+          (one_run (), on))
+  in
+  let overheads =
+    Array.map (fun (off, on) -> (on -. off) /. off *. 100.) runs
+  in
+  let q p xs = Metrics.Stats.percentile p xs in
+  let overhead_pct = q 50. overheads in
+  let p25 = q 25. overheads and p75 = q 75. overheads in
+  let off_s = q 50. (Array.map fst runs) and on_s = q 50. (Array.map snd runs) in
   let p =
     match Zion.Monitor.profiler mon with
     | Some p -> p
     | None -> failwith "bench_profile: profiler missing"
   in
   Metrics.Table.print
-    ~header:[ "arm"; "best-of-3 s"; "overhead %" ]
+    ~header:[ "arm"; "median s"; "overhead %" ]
     [
       [ "profiler off"; fixed 4 off_s; "" ];
       [ "profiler on"; fixed 4 on_s; pct overhead_pct ];
     ];
+  Printf.printf
+    "overhead over %d interleaved pairs: median %+.2f%%, IQR %.2f points \
+     (p25 %+.2f%%, p75 %+.2f%%)\n"
+    pairs overhead_pct (p75 -. p25) p25 p75;
   Printf.printf "samples: %d (interval %d retired instructions)\n"
     (Metrics.Profile.samples p)
     (Metrics.Profile.interval p);
@@ -261,6 +283,9 @@ let bench_profile ~quick:_ =
          ("off_s", num_dp 6 off_s);
          ("on_s", num_dp 6 on_s);
          ("overhead_pct", num_dp 3 overhead_pct);
+         ("overhead_p25_pct", num_dp 3 p25);
+         ("overhead_p75_pct", num_dp 3 p75);
+         ("pairs", num_of_int pairs);
          ("samples", num_of_int (Metrics.Profile.samples p));
          ("interval", num_of_int (Metrics.Profile.interval p));
          ( "top_pages",
@@ -278,7 +303,10 @@ let bench_profile ~quick:_ =
                 (Metrics.Profile.top_pages ~k:3 p)) );
        ]);
   if overhead_pct < 5. then Ok ()
-  else Error (Printf.sprintf "profiler overhead %.2f%% (>= 5%%)" overhead_pct)
+  else
+    Error
+      (Printf.sprintf "profiler overhead median %.2f%% (>= 5%%, IQR %.2f)"
+         overhead_pct (p75 -. p25))
 
 (* ---------- Table I : RV8 ---------- *)
 
@@ -496,8 +524,13 @@ let bench_exitless ~quick =
    with
   | Hypervisor.Kvm.C_shutdown -> ()
   | _ -> print_endline "warning: exitful arm did not shut down");
+  (* The SM coalesces each request's descriptor-address store, so the
+     exitful arm exits twice per request: doorbell and status read. *)
   let exitful_exits =
     Hypervisor.Kvm.mmio_exits_serviced tb_f.Platform.Testbed.kvm
+  in
+  let exitful_coalesced =
+    Hypervisor.Kvm.coalesced_writes tb_f.Platform.Testbed.kvm
   in
   (* Exitless arm: batches published with plain stores; the host drains
      the ring at its timer beat and publishes the used index once per
@@ -529,6 +562,9 @@ let bench_exitless ~quick =
   let exitless_exits =
     Hypervisor.Kvm.mmio_exits_serviced tb_l.Platform.Testbed.kvm
   in
+  let exitless_coalesced =
+    Hypervisor.Kvm.coalesced_writes tb_l.Platform.Testbed.kvm
+  in
   let suppressed =
     Metrics.Registry.counter
       ~scope:(Metrics.Registry.Cvm (Hypervisor.Kvm.cvm_id h_l))
@@ -547,14 +583,14 @@ let bench_exitless ~quick =
   in
   Metrics.Table.print
     ~header:
-      [ "arm"; "requests"; "MMIO exits"; "exits / 1k req";
-        "used publishes" ]
+      [ "arm"; "requests"; "MMIO exits"; "coalesced writes";
+        "exits / 1k req"; "used publishes" ]
     [
       [ "exitful kicks"; string_of_int requests; string_of_int exitful_exits;
-        fixed 0 (per_1k exitful_exits); "-" ];
+        string_of_int exitful_coalesced; fixed 0 (per_1k exitful_exits); "-" ];
       [ "exitless ring"; string_of_int requests;
-        string_of_int exitless_exits; fixed 0 (per_1k exitless_exits);
-        string_of_int notifications ];
+        string_of_int exitless_exits; string_of_int exitless_coalesced;
+        fixed 0 (per_1k exitless_exits); string_of_int notifications ];
     ];
   Printf.printf
     "world switches eliminated: %.1f%% (%d kicks suppressed, %d used-index \
@@ -613,6 +649,11 @@ let bench_exitless ~quick =
                ("requests", n requests);
                ("exitful_mmio_exits", n exitful_exits);
                ("exitless_mmio_exits", n exitless_exits);
+               ("exitful_coalesced_writes", n exitful_coalesced);
+               ("exitless_coalesced_writes", n exitless_coalesced);
+               ( "exitful_exits_per_request",
+                 num_dp 2
+                   (float_of_int exitful_exits /. float_of_int requests) );
                ("exitful_exits_per_1k", num_dp 1 (per_1k exitful_exits));
                ("exitless_exits_per_1k", num_dp 1 (per_1k exitless_exits));
                ("kick_reduction_pct", num_dp 2 reduction);

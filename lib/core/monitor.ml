@@ -114,6 +114,9 @@ type t = {
       (** vCPUs whose next private fault is a stage-3 retry *)
   staged_reg : (int * int, int * int64) Hashtbl.t;
       (** SET_REG value awaiting Check-after-Load, unshared mode *)
+  coalesced_zones : (int, (int64 * int64) list) Hashtbl.t;
+      (** CVM id -> coalesced-MMIO zones as (first, last) GPA: soft
+          state, never journaled, dropped by [crash_reboot] *)
   page_owner : (int64, int) Hashtbl.t;
       (** physical page -> CVM id: the exclusivity ground truth *)
   freed_pages : (int, int64 list ref) Hashtbl.t;
@@ -174,6 +177,7 @@ let create ?(config = default_config) machine =
       pending_mmio = Hashtbl.create 8;
       expand_retry = Hashtbl.create 8;
       staged_reg = Hashtbl.create 8;
+      coalesced_zones = Hashtbl.create 8;
       page_owner = Hashtbl.create 1024;
       freed_pages = Hashtbl.create 8;
       prezeroed = Hashtbl.create 1024;
@@ -227,9 +231,9 @@ let enable_profiler ?interval t =
         t.profiler <- Some p;
         p
   in
-  Exec.profile := Some p
+  Exec.set_profile (Some p)
 
-let disable_profiler _t = Exec.profile := None
+let disable_profiler _t = Exec.set_profile None
 let profiler t = t.profiler
 
 (* ---------- per-tenant health rollups ---------- *)
@@ -251,6 +255,7 @@ type tenant_health = {
   th_io_coalesced : int;
   th_io_cal_rejections : int;
   th_io_fallbacks : int;
+  th_mmio_coalesced : int;
   th_chan_grants : int;
   th_chan_accepts : int;
   th_chan_revokes : int;
@@ -319,6 +324,9 @@ let health_snapshot ?(stall_cycles = 10_000_000) ?(clock_hz = 1e8) t =
           th_io_fallbacks =
             Metrics.Registry.counter ~scope:(Metrics.Registry.Cvm id)
               t.registry "sm.io.fallbacks";
+          th_mmio_coalesced =
+            Metrics.Registry.counter ~scope:(Metrics.Registry.Cvm id)
+              t.registry "sm.mmio.coalesced";
           th_chan_grants =
             Metrics.Registry.counter ~scope:(Metrics.Registry.Cvm id)
               t.registry "sm.chan.grants";
@@ -688,6 +696,15 @@ let fault_composition ?(prezeroed = false) c cfg stage =
 let fault_cost ?prezeroed t stage =
   fault_composition ?prezeroed t.cost t.cfg stage
 
+(* One coalesced MMIO store, trap to xret: classify, post the store's
+   items to the shared-vCPU ring, one xret. No PMP toggle, TLB flush,
+   register save or host-context restore. *)
+let coalesce_cost t =
+  let c = t.cost in
+  c.Cost.trap_entry + c.Cost.exit_cause_decode
+  + (Vcpu.coalesced_items * c.Cost.shared_item_store)
+  + c.Cost.xret
+
 (* ---------- host interface ---------- *)
 
 let register_secure_region_impl t ~base ~size =
@@ -1053,6 +1070,7 @@ let destroy_body ~record t cvm =
   Array.iter Page_cache.reset cvm.Cvm.caches;
   cvm.Cvm.table_blocks := [];
   Hashtbl.remove t.freed_pages id;
+  Hashtbl.remove t.coalesced_zones id;
   cvm.Cvm.state <- Cvm.Destroyed;
   if not was_destroyed then Metrics.Registry.inc t.registry "cvm.destroyed";
   Journal.checkpoint t.journal record "reclaimed";
@@ -2301,6 +2319,73 @@ let in_virtio_window gpa =
   (not (Xword.ult gpa Layout.virtio_mmio_gpa))
   && Xword.ult gpa (Int64.add Layout.virtio_mmio_gpa Layout.virtio_mmio_size)
 
+(* ---------- coalesced MMIO zones ---------- *)
+
+let max_coalesced_zones = 8
+
+let zones_of t id =
+  Option.value ~default:[] (Hashtbl.find_opt t.coalesced_zones id)
+
+let register_coalesced_mmio t ~cvm:id ~gpa ~size =
+  host_call t "register_coalesced_mmio" ~cvm:id (fun () ->
+      match find_alive t id with
+      | None -> Error Ecall.Not_found
+      | Some cvm when cvm.Cvm.state = Cvm.Quarantined -> Error Ecall.Quarantined
+      | Some _ ->
+          let zones = zones_of t id in
+          if size < 1 || Int64.of_int size > Layout.virtio_mmio_size then
+            Error Ecall.Invalid_param
+          else
+            let last = Int64.add gpa (Int64.of_int (size - 1)) in
+            (* Both ends inside the window: no RAM GPA, private or shared,
+               can ever be a zone. *)
+            if not (in_virtio_window gpa && in_virtio_window last) then
+              Error Ecall.Invalid_address
+            else if
+              List.exists
+                (fun (f, l) -> not (Xword.ult last f || Xword.ult l gpa))
+                zones
+            then Error Ecall.Already_exists
+            else if List.length zones >= max_coalesced_zones then
+              Error Ecall.Denied
+            else begin
+              Hashtbl.replace t.coalesced_zones id ((gpa, last) :: zones);
+              Ok ()
+            end)
+
+(* A guest store inside a registered zone, with room left in the ring:
+   post it to the shared vCPU and resume the guest without leaving
+   M-mode. [posted] is the SM-private ring count, reset on every entry;
+   the SM never reads the ring back. Anything else returns [false] and
+   takes the ordinary MMIO exit. *)
+let try_coalesce t cvm hart sh zones ~posted ~gpa =
+  if zones = [] || !posted >= Vcpu.coalesced_ring_capacity then false
+  else
+    let inside (m : Vcpu.mmio) (first, last) =
+      let m_last = Int64.add gpa (Int64.of_int (m.Vcpu.mmio_size - 1)) in
+      not (Xword.ult gpa first || Xword.ult last m_last)
+    in
+    match
+      Vcpu.decode_mmio hart.Hart.regs ~htinst:hart.Hart.csr.Csr.htinst ~gpa
+    with
+    | Ok m when m.Vcpu.mmio_write && List.exists (inside m) zones ->
+        Vcpu.post_coalesced sh ~slot:!posted m;
+        incr posted;
+        (* The trap already charged trap_entry; [resume_guest] charges
+           the one xret. *)
+        charge t "sm_mmio_coalesce"
+          (coalesce_cost t - t.cost.Cost.trap_entry - t.cost.Cost.xret);
+        if obs t then begin
+          Metrics.Trace.instant t.trace ~cvm:cvm.Cvm.id
+            ~args:[ ("gpa", Printf.sprintf "0x%Lx" gpa) ]
+            "sm.mmio.coalesced";
+          Metrics.Registry.inc t.registry
+            ~scope:(Metrics.Registry.Cvm cvm.Cvm.id) "sm.mmio.coalesced"
+        end;
+        resume_guest t hart ~skip:true;
+        true
+    | Ok _ | Error _ -> false
+
 let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
   host_call t "run_vcpu" ~cvm:id (fun () ->
   if hart_id < 0 || hart_id >= Array.length t.machine.Machine.harts then
@@ -2327,6 +2412,10 @@ let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
           let sv = Cvm.vcpu cvm vcpu_idx in
           let sh = Cvm.shared_vcpu cvm vcpu_idx in
           let key = (id, vcpu_idx) in
+          (* The coalesced ring lives in the shared vCPU, so it needs the
+             shared-vCPU transfer mode. *)
+          let zones = if t.cfg.shared_vcpu then zones_of t id else [] in
+          let posted = ref 0 in
           (* Absorb a pending MMIO reply before entering. *)
           let mmio_kind = ref No_mmio in
           let absorb_error = ref None in
@@ -2456,6 +2545,7 @@ let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
                 cvm.Cvm.state <- Cvm.Running;
                 (* --- guest execution loop --- *)
                 let finish ~mmio reason =
+                  sh.Vcpu.s_coalesced_count <- !posted;
                   world_switch_out t hart_id cvm vcpu_idx ~mmio_kind:mmio;
                   if obs t then begin
                     let label = exit_reason_label reason in
@@ -2503,12 +2593,17 @@ let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
                             (Int64.shift_left csr.Csr.mtval2 2)
                             (Int64.logand csr.Csr.mtval 3L)
                         in
-                        if in_virtio_window gpa then begin
+                        if
+                          in_virtio_window gpa
+                          && try_coalesce t cvm hart sh zones ~posted ~gpa
+                        then loop (steps + 1)
+                        else if in_virtio_window gpa then begin
                           (* MMIO: decode from the recorded instruction,
                              expose via the shared vCPU, exit. *)
                           Vcpu.save_from_hart hart sv;
                           match
-                            Vcpu.decode_mmio sv ~htinst:csr.Csr.htinst ~gpa
+                            Vcpu.decode_mmio sv.Vcpu.regs
+                              ~htinst:csr.Csr.htinst ~gpa
                           with
                           | Error e -> finish ~mmio:No_mmio (Exit_error e)
                           | Ok mmio ->
@@ -3106,6 +3201,28 @@ let audit t =
           pa
       end)
     t.prezeroed;
+  (* 13. Coalesced-MMIO zones. Every zone lies inside the virtio window
+     (so no RAM GPA is one), no CVM holds more than the ABI limit, and
+     a destroyed CVM holds none. *)
+  Hashtbl.iter
+    (fun id zones ->
+      check
+        (match find_cvm t id with
+        | Some c -> c.Cvm.state <> Cvm.Destroyed
+        | None -> false)
+        "coalesced zones held for dead or unknown CVM %d" id;
+      check
+        (List.length zones <= max_coalesced_zones)
+        "CVM %d holds %d coalesced zones (limit %d)" id (List.length zones)
+        max_coalesced_zones;
+      List.iter
+        (fun (f, l) ->
+          check
+            (in_virtio_window f && in_virtio_window l && not (Xword.ult l f))
+            "CVM %d coalesced zone 0x%Lx..0x%Lx leaves the virtio window" id
+            f l)
+        zones)
+    t.coalesced_zones;
   if !findings = [] then Ok !checked else Error (List.rev !findings)
 
 (* One sorted line per durable fact; see the interface for what is in
@@ -3196,6 +3313,7 @@ let crash_reboot t =
   Hashtbl.reset t.pending_mmio;
   Hashtbl.reset t.expand_retry;
   Hashtbl.reset t.staged_reg;
+  Hashtbl.reset t.coalesced_zones;
   Hashtbl.reset t.last_seen;
   (* The clean-page record is SM scratch: after a reboot nothing vouches
      for any page, so recovery and the faults after it zero every page

@@ -76,7 +76,8 @@ val registry : t -> Metrics.Registry.t
 
 val enable_profiler : ?interval:int -> t -> unit
 (** Install this monitor's guest PC-sampling profiler as the
-    interpreter's [Riscv.Exec.profile] hook, creating it on first use
+    interpreter's profiler hook ([Riscv.Exec.set_profile]), creating it
+    on first use
     ([interval] retired instructions per sample, default 64). Samples
     taken while a hart runs a CVM are attributed to that CVM; samples
     outside any CVM go to the host bucket. Calling again with a
@@ -127,6 +128,9 @@ type tenant_health = {
   th_io_fallbacks : int;
       (** rings degraded to the exitful MMIO kick path
           (["sm.io.fallbacks"]) *)
+  th_mmio_coalesced : int;
+      (** guest stores the SM posted to the coalesced-MMIO ring instead
+          of exiting (["sm.mmio.coalesced"]) *)
   th_chan_grants : int;
       (** inter-CVM channels this CVM offered (["sm.chan.grants"]) *)
   th_chan_accepts : int;
@@ -431,6 +435,45 @@ val shared_vcpu_of : t -> cvm:int -> vcpu:int -> Vcpu.shared option
     the hypervisor reads and writes it freely; the SM re-validates
     everything it loads from it. *)
 
+(* {2 Coalesced MMIO writes}
+
+   The hypervisor may name device registers whose stores have no effect
+   until a later doorbell (buffer-address latches). A guest store that
+   falls wholly inside such a zone is handled by the SM without a world
+   switch: decoded from [htinst], appended to the fixed-capacity ring in
+   the shared vCPU ({!Vcpu.coalesced_write}), pc advanced, one [xret].
+   At every real exit the SM publishes the ring's count; the host
+   applies the buffered stores, in order, before it handles the exit, so
+   the device sees the same write order as with one exit per store.
+
+   Loads, stores outside every zone, and any store once the ring is full
+   take the ordinary MMIO exit. The ring count is SM-private and reset on
+   entry; the SM never reads the ring back. Zones are soft state: not
+   journaled, not migrated, dropped by [crash_reboot]. With no zone
+   registered the trap path is unchanged. *)
+
+val max_coalesced_zones : int
+(** ABI constant: zones one CVM may hold (8). *)
+
+val register_coalesced_mmio :
+  t -> cvm:int -> gpa:int64 -> size:int -> (unit, Ecall.error) result
+(** Register [gpa, gpa + size) as a coalesced zone for [cvm]. The zone
+    must lie wholly inside the virtio MMIO window, so no private or
+    shared RAM GPA can be one ([Invalid_address]); [size] must be
+    positive and no larger than the window ([Invalid_param]); it must
+    not overlap a zone already registered ([Already_exists]); a CVM
+    holding [max_coalesced_zones] zones is [Denied]. [Not_found] for an
+    unknown or destroyed CVM, [Quarantined] for a quarantined one.
+    Coalescing needs the shared vCPU: with [shared_vcpu = false] zones
+    are accepted but every store exits. *)
+
+val coalesce_cost : t -> int
+(** Modeled cycle cost of one coalesced store, trap to [xret]:
+    [trap_entry + exit_cause_decode + coalesced_items * shared_item_store
+    + xret]. The one composition the trap path charges (the part after
+    the trap, less the [xret], under the ["sm_mmio_coalesce"] ledger
+    category). *)
+
 type path = Entry_plain | Entry_with_mmio | Exit_plain | Exit_with_mmio
 
 val path_cost : t -> path -> int
@@ -525,7 +568,10 @@ val audit : t -> (int, string list) result
     - scrub-once record: every page the SM records as zeroed, while its
       [Physmem] write generation is unchanged, is an unowned pool page
       (at most relinquished to its owner's freed pool) that nothing
-      maps, and all its bytes are zero.
+      maps, and all its bytes are zero;
+    - coalesced-MMIO zones: every zone lies inside the virtio window, no
+      CVM holds more than [max_coalesced_zones], and no destroyed CVM
+      holds any.
 
     Returns the number of facts checked, or the list of violations.
     Tests call this after every adversarial scenario; a violation means
@@ -559,7 +605,9 @@ val crash_reboot : t -> unit
 (** Model a host/SM crash-and-reboot on this monitor: wipe everything
     volatile — hart PMP/TLB/delegation/translation CSRs, saved host
     contexts, IOPMP device registers, the PMP guard's epoch caches,
-    pending-MMIO and expansion scratch tables, the record of pages the
+    pending-MMIO and expansion scratch tables, the coalesced-MMIO
+    zones (stores into them exit again until the host re-registers),
+    the record of pages the
     SM holds zeroed (so recovery and the faults after it zero every page
     they touch) — while everything
     durable (secure pool, CVM table, page ownership, sessions, vCPU

@@ -14,6 +14,12 @@ type secure = {
   mutable generation : int;
 }
 
+type coalesced_write = {
+  mutable cw_gpa : int64;
+  mutable cw_size : int;
+  mutable cw_data : int64;
+}
+
 type shared = {
   mutable s_htinst : int64;
   mutable s_htval : int64;
@@ -21,7 +27,12 @@ type shared = {
   mutable s_data : int64;
   mutable s_reg_index : int;
   mutable s_pc_advance : int64;
+  s_coalesced : coalesced_write array;
+  mutable s_coalesced_count : int;
 }
+
+let coalesced_ring_capacity = 8
+let coalesced_items = 3
 
 let fresh_secure ~entry_pc =
   {
@@ -46,6 +57,10 @@ let fresh_shared () =
     s_data = 0L;
     s_reg_index = 0;
     s_pc_advance = 0L;
+    s_coalesced =
+      Array.init coalesced_ring_capacity (fun _ ->
+          { cw_gpa = 0L; cw_size = 0; cw_data = 0L });
+    s_coalesced_count = 0;
   }
 
 let save_from_hart (hart : Hart.t) sv =
@@ -85,7 +100,7 @@ type mmio = {
   mmio_reg : int;
 }
 
-let decode_mmio sv ~htinst ~gpa =
+let decode_mmio regs ~htinst ~gpa =
   match Decode.decode htinst with
   | Decode.Load { rd; width; unsigned; _ } ->
       let size =
@@ -98,7 +113,7 @@ let decode_mmio sv ~htinst ~gpa =
         match width with Decode.B -> 1 | H -> 2 | W -> 4 | D -> 8
       in
       Ok { mmio_write = true; mmio_gpa = gpa; mmio_size = size;
-           mmio_unsigned = false; mmio_data = sv.regs.(rs2); mmio_reg = 0 }
+           mmio_unsigned = false; mmio_data = regs.(rs2); mmio_reg = 0 }
   | _ -> Error "decode_mmio: trapping instruction is not a load or store"
 
 let expose_mmio sh mmio ~htinst =
@@ -110,6 +125,19 @@ let expose_mmio sh mmio ~htinst =
   sh.s_pc_advance <- 0L;
   (* htinst, htval, gpa, data: four exposed items. *)
   4
+
+let post_coalesced sh ~slot mmio =
+  let w = sh.s_coalesced.(slot) in
+  w.cw_gpa <- mmio.mmio_gpa;
+  w.cw_size <- mmio.mmio_size;
+  w.cw_data <- mmio.mmio_data
+
+let coalesced_writes sh =
+  let n = max 0 (min sh.s_coalesced_count coalesced_ring_capacity) in
+  List.init n (fun i ->
+      let w = sh.s_coalesced.(i) in
+      { mmio_write = true; mmio_gpa = w.cw_gpa; mmio_size = w.cw_size;
+        mmio_unsigned = false; mmio_data = w.cw_data; mmio_reg = 0 })
 
 let absorb_mmio_result sh sv mmio =
   (* Check-after-Load: copy everything out of hypervisor-writable memory

@@ -29,6 +29,14 @@ type secure = {
       (** bumped on every save; consistency check at restore *)
 }
 
+type coalesced_write = {
+  mutable cw_gpa : int64;
+  mutable cw_size : int;
+  mutable cw_data : int64;
+}
+(** One guest store the SM posted to the coalesced-MMIO ring instead of
+    exiting: the same bytes an MMIO exit would expose. *)
+
 type shared = {
   mutable s_htinst : int64;
   mutable s_htval : int64;
@@ -36,7 +44,20 @@ type shared = {
   mutable s_data : int64;  (** store data out / load result in *)
   mutable s_reg_index : int;  (** destination register for MMIO loads *)
   mutable s_pc_advance : int64;  (** instruction length to skip (2 or 4) *)
+  s_coalesced : coalesced_write array;
+      (** coalesced-MMIO ring, [coalesced_ring_capacity] slots, oldest
+          first. The SM only ever writes it. *)
+  mutable s_coalesced_count : int;
+      (** valid ring entries, published by the SM at every real exit
+          from its own private count (never read back) *)
 }
+
+val coalesced_ring_capacity : int
+(** ABI constant: stores one run may post before the next store into a
+    coalesced zone takes the ordinary MMIO exit (8). *)
+
+val coalesced_items : int
+(** Items the SM stores per posted write: gpa, size, data (3). *)
 
 val fresh_secure : entry_pc:int64 -> secure
 val fresh_shared : unit -> shared
@@ -57,13 +78,24 @@ type mmio = {
   mmio_reg : int;  (** destination register for reads *)
 }
 
-val decode_mmio : secure -> htinst:int64 -> gpa:int64 -> (mmio, string) result
+val decode_mmio :
+  int64 array -> htinst:int64 -> gpa:int64 -> (mmio, string) result
 (** Parse the trapping load/store from the recorded instruction word and
-    the secure register file. *)
+    the register file it executed against (store data comes from
+    [rs2]). *)
 
 val expose_mmio : shared -> mmio -> htinst:int64 -> int
 (** Populate the shared vCPU for an MMIO exit; returns the number of
     items stored (cost accounting). *)
+
+val post_coalesced : shared -> slot:int -> mmio -> unit
+(** SM side: write a decoded store's [coalesced_items] into ring slot
+    [slot]. *)
+
+val coalesced_writes : shared -> mmio list
+(** Host side: the published ring as write accesses, oldest first. The
+    count is clamped to the ring, so a scribbled count cannot make the
+    host read past it. *)
 
 val absorb_mmio_result :
   shared -> secure -> mmio -> (int, string) result

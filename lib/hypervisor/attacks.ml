@@ -444,3 +444,107 @@ let chan_vectors =
     ("destroyed-grantor", chan_peer_destroyed_mid_accept);
     ("quarantined-peer", chan_quarantined_peer);
   ]
+
+(* ---------- coalesced-MMIO registration attacks ---------- *)
+
+(* A hostile registration must come back as the one expected typed
+   error, never [Ok] and never an exception, with the audit clean. *)
+let zone_judge kvm ~label ~want r =
+  match r with
+  | exception e -> Leaked (label ^ ": exception escaped " ^ Printexc.to_string e)
+  | Ok () -> Leaked (label ^ ": the SM accepted the zone")
+  | Error e when e <> want ->
+      Leaked
+        (Printf.sprintf "%s: expected %s, got %s" label
+           (Zion.Ecall.error_to_string want)
+           (Zion.Ecall.error_to_string e))
+  | Error e -> (
+      match Zion.Monitor.audit (Kvm.monitor kvm) with
+      | Error findings ->
+          Leaked
+            (Printf.sprintf "%s: audit violation: %s" label
+               (match findings with f :: _ -> f | [] -> "?"))
+      | Ok _ -> Blocked (label ^ ": " ^ Zion.Ecall.error_to_string e))
+
+let register kvm ~cvm ~gpa ~size =
+  Zion.Monitor.register_coalesced_mmio (Kvm.monitor kvm) ~cvm ~gpa ~size
+
+let window_end =
+  Int64.add Zion.Layout.virtio_mmio_gpa Zion.Layout.virtio_mmio_size
+
+let coalesce_zone_outside_window kvm h =
+  (* Straddles the end of the window: the first byte is a device
+     register, the last is not. *)
+  zone_judge kvm ~label:"zone past the virtio window"
+    ~want:Zion.Ecall.Invalid_address
+    (register kvm ~cvm:(Kvm.cvm_id h) ~gpa:(Int64.sub window_end 4L) ~size:8)
+
+let coalesce_zone_private_ram kvm h =
+  zone_judge kvm ~label:"zone over private RAM"
+    ~want:Zion.Ecall.Invalid_address
+    (register kvm ~cvm:(Kvm.cvm_id h) ~gpa:0x10000L ~size:8)
+
+let coalesce_zone_shared_ram kvm h =
+  zone_judge kvm ~label:"zone over shared RAM"
+    ~want:Zion.Ecall.Invalid_address
+    (register kvm ~cvm:(Kvm.cvm_id h) ~gpa:Sw.desc_gpa ~size:8)
+
+let coalesce_zone_flood kvm h =
+  (* Fill the table past the limit with distinct zones above both
+     device slots; the first refusal must be the limit. *)
+  let rec go i =
+    if i > Zion.Monitor.max_coalesced_zones then Ok ()
+    else
+      let gpa =
+        Int64.add Zion.Layout.virtio_mmio_gpa (Int64.of_int (0x800 + (8 * i)))
+      in
+      match register kvm ~cvm:(Kvm.cvm_id h) ~gpa ~size:8 with
+      | Ok () -> go (i + 1)
+      | Error _ as e -> e
+  in
+  zone_judge kvm ~label:"zone count over the limit" ~want:Zion.Ecall.Denied
+    (go 0)
+
+let coalesce_zone_quarantined kvm _h =
+  (* A fresh CVM whose first access is an MMIO load; tampering with the
+     reply gets it quarantined. *)
+  let prog =
+    Asm.li Asm.t0 (Int64.add Zion.Layout.virtio_mmio_gpa 0x10L)
+    @ [ Decode.Load
+          { rd = Asm.t2; rs1 = Asm.t0; imm = 0L; width = Decode.W;
+            unsigned = false } ]
+    @ Guest.Gprog.shutdown
+  in
+  match
+    Kvm.create_cvm_guest kvm ~entry_pc:0x10000L
+      ~image:[ (0x10000L, Asm.program prog) ]
+  with
+  | Error e -> Blocked ("setup: " ^ e)
+  | Ok q ->
+      let cvm = Kvm.cvm_id q in
+      let mon = Kvm.monitor kvm in
+      ignore (Zion.Monitor.run_vcpu mon ~hart:0 ~cvm ~vcpu:0 ~max_steps:100);
+      let verdict =
+        match tamper_mmio_pc_advance mon ~cvm with
+        | Leaked _ as l -> l
+        | Blocked _ ->
+            zone_judge kvm ~label:"zone on a quarantined CVM"
+              ~want:Zion.Ecall.Quarantined
+              (register kvm ~cvm ~gpa:Zion.Layout.virtio_mmio_gpa ~size:8)
+      in
+      ignore (Zion.Monitor.destroy_cvm mon ~cvm);
+      verdict
+
+let coalesce_zone_unknown_cvm kvm _h =
+  zone_judge kvm ~label:"zone on an unknown CVM" ~want:Zion.Ecall.Not_found
+    (register kvm ~cvm:0x7FFF_FFFF ~gpa:Zion.Layout.virtio_mmio_gpa ~size:8)
+
+let coalesce_vectors =
+  [
+    ("outside-window", coalesce_zone_outside_window);
+    ("private-ram", coalesce_zone_private_ram);
+    ("shared-ram", coalesce_zone_shared_ram);
+    ("zone-flood", coalesce_zone_flood);
+    ("quarantined", coalesce_zone_quarantined);
+    ("unknown-cvm", coalesce_zone_unknown_cvm);
+  ]

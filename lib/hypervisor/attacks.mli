@@ -111,3 +111,34 @@ val chan_vectors :
 (** Every hostile-peer channel vector above, by its CLI name
     ([poison-seq], ...): the one list [zionctl channel --attack] and the
     tests iterate. *)
+
+(** {2 Coalesced-MMIO registration attacks}
+
+    Hostile [Zion.Monitor.register_coalesced_mmio] calls. Each must
+    come back as one specific typed error — never [Ok], never an
+    exception — with [Zion.Monitor.audit] clean afterwards. *)
+
+val coalesce_zone_outside_window : Kvm.t -> Kvm.cvm_handle -> outcome
+(** A zone straddling the end of the virtio window: [Invalid_address]. *)
+
+val coalesce_zone_private_ram : Kvm.t -> Kvm.cvm_handle -> outcome
+(** A zone over private RAM (the image GPA): [Invalid_address]. *)
+
+val coalesce_zone_shared_ram : Kvm.t -> Kvm.cvm_handle -> outcome
+(** A zone over shared RAM (the SWIOTLB descriptor page):
+    [Invalid_address]. *)
+
+val coalesce_zone_flood : Kvm.t -> Kvm.cvm_handle -> outcome
+(** Register zones until the SM refuses; the refusal must be the
+    per-CVM limit ([Denied]). *)
+
+val coalesce_zone_quarantined : Kvm.t -> Kvm.cvm_handle -> outcome
+(** Register on a CVM the SM quarantined (set up here through a
+    tampered MMIO reply): [Quarantined]. *)
+
+val coalesce_zone_unknown_cvm : Kvm.t -> Kvm.cvm_handle -> outcome
+(** Register on a CVM id that does not exist: [Not_found]. *)
+
+val coalesce_vectors : (string * (Kvm.t -> Kvm.cvm_handle -> outcome)) list
+(** Every coalesced-MMIO vector above, by name, in declaration order:
+    the one list [zionctl attacks] and the tests iterate. *)

@@ -57,6 +57,7 @@ type report = {
   chan_opens : int;  (** attested inter-CVM channels established *)
   chan_poisons : int;  (** hostile pokes at live channel ring headers *)
   chan_degradations : int;  (** channels CAL degraded (strike budget) *)
+  coalesce_pokes : int;
   pool_clean : bool;  (** all blocks free and list well-formed at the end *)
 }
 
@@ -83,6 +84,7 @@ let pp_report ppf r =
   field "  ring poisons/fallbacks %d/%d@." r.ring_poisons r.ring_fallbacks;
   field "  chans open/poison/degr %d/%d/%d@." r.chan_opens r.chan_poisons
     r.chan_degradations;
+  field "  coalesce pokes         %d@." r.coalesce_pokes;
   field "  pool clean at end      %b@." r.pool_clean;
   field "  verdict                %s@."
     (if survived r then "SURVIVED" else "COMPROMISED")
@@ -120,6 +122,7 @@ type world = {
   mutable chan_opens : int;
   mutable chan_poisons : int;
   mutable chan_degradations : int;
+  mutable coalesce_pokes : int;
 }
 
 let guest_entry = 0x10000L
@@ -504,6 +507,44 @@ let poison_ring w =
         Metrics.Registry.inc (registry w) "chaos.ring_fallback"
       end
 
+(* Coalesced-MMIO hostility. Either register a zone with adversarial
+   arguments (a third of them an honest latch register, so live guests
+   get real zones), or scribble a live CVM's published coalesced ring —
+   count and entries — and resume it straight through the SM. The SM
+   never reads the ring back, so the scribble must change nothing it
+   decides; the drain in [Kvm.run_cvm] only ever sees what the SM
+   republished at the exit. *)
+let coalesce_fuzz w =
+  w.coalesce_pokes <- w.coalesce_pokes + 1;
+  match (rand_int w.r 2, w.live) with
+  | 1, (_ :: _ as l) -> (
+      let id = Kvm.cvm_id (one_of w.r l) in
+      match Zion.Monitor.shared_vcpu_of w.mon ~cvm:id ~vcpu:0 with
+      | None -> ()
+      | Some sh ->
+          sh.Zion.Vcpu.s_coalesced_count <- rand_int w.r 40 - 16;
+          Array.iter
+            (fun cw ->
+              cw.Zion.Vcpu.cw_gpa <- fuzz_addr w;
+              cw.Zion.Vcpu.cw_size <- rand_int w.r 20 - 4;
+              cw.Zion.Vcpu.cw_data <- rand_i64 w.r)
+            sh.Zion.Vcpu.s_coalesced;
+          call w (fun () ->
+              Zion.Monitor.run_vcpu w.mon ~hart:0 ~cvm:id ~vcpu:0
+                ~max_steps:(100 + rand_int w.r 2000)))
+  | _ ->
+      let gpa =
+        match rand_int w.r 3 with
+        | 0 -> fst (one_of w.r Mmio_emul.latch_zones)
+        | 1 ->
+            Int64.add Zion.Layout.virtio_mmio_gpa
+              (Int64.of_int (rand_int w.r 0x1100 - 0x80))
+        | _ -> fuzz_addr w
+      in
+      call w (fun () ->
+          Zion.Monitor.register_coalesced_mmio w.mon ~cvm:(fuzz_id w) ~gpa
+            ~size:(rand_int w.r 24 - 4))
+
 (* ---------- channel actions ---------- *)
 
 (* Open an attested channel between two distinct live CVMs, playing the
@@ -843,6 +884,7 @@ let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
       chan_opens = 0;
       chan_poisons = 0;
       chan_degradations = 0;
+      coalesce_pokes = 0;
     }
   in
   for i = 1 to iters do
@@ -850,7 +892,8 @@ let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
     (match rand_int w.r 100 with
     | n when n < 8 -> spawn w
     | n when n < 38 -> step w
-    | n when n < 72 -> fuzz_ecall w
+    | n when n < 68 -> fuzz_ecall w
+    | n when n < 72 -> coalesce_fuzz w
     | n when n < 78 ->
         if not channels then fuzz_ecall w
         else begin
@@ -917,6 +960,7 @@ let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
     chan_opens = w.chan_opens;
     chan_poisons = w.chan_poisons;
     chan_degradations = w.chan_degradations;
+    coalesce_pokes = w.coalesce_pokes;
     pool_clean;
   }
 

@@ -6,7 +6,8 @@
     hostile shared-subtree planting, dishonest answers to the
     slow-path [Exit_need_memory] protocol, attested inter-CVM channel
     handshakes with ring-header poisoning and adversarial-argument
-    channel calls, and full protocol migrations to a second platform
+    channel calls, coalesced-MMIO zone registrations with adversarial
+    arguments and scribbled coalesced rings, and full protocol migrations to a second platform
     over a lossy channel with random fault rates and injected endpoint
     crashes ({!Migrator}) — interleaved with legitimate guest work so
     the attacks land on realistic state.
@@ -43,6 +44,9 @@ type report = {
   chan_opens : int;  (** attested inter-CVM channels established *)
   chan_poisons : int;  (** hostile pokes at live channel ring headers *)
   chan_degradations : int;  (** channels CAL degraded (strike budget) *)
+  coalesce_pokes : int;
+      (** coalesced-MMIO zone registrations with adversarial arguments
+          and scribbles over a live CVM's published ring *)
   pool_clean : bool;  (** all blocks free and list well-formed at the end *)
 }
 

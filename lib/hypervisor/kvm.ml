@@ -21,6 +21,7 @@ type t = {
   mutable nvm_faults : int list;
   mutable ticks : int;
   mutable mmio_serviced : int;
+  mutable coalesced_applied : int;
   mutable expansions : int;
   mutable expand_stalls : int;
   mutable expand_policy : expand_policy;
@@ -60,6 +61,7 @@ let create ~machine ~monitor ?(disk_sectors = 262144) () =
     nvm_faults = [];
     ticks = 0;
     mmio_serviced = 0;
+    coalesced_applied = 0;
     expansions = 0;
     expand_stalls = 0;
     expand_policy = Expand_honest;
@@ -340,12 +342,8 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
             if in_virtio_window gpa then begin
               (* Direct MMIO emulation in HS: the 5,000-cycle path. *)
               match
-                Zion.Vcpu.decode_mmio
-                  {
-                    (Zion.Vcpu.fresh_secure ~entry_pc:0L) with
-                    Zion.Vcpu.regs = Array.copy hart.Hart.regs;
-                  }
-                  ~htinst:csr.Csr.htinst ~gpa
+                Zion.Vcpu.decode_mmio hart.Hart.regs ~htinst:csr.Csr.htinst
+                  ~gpa
               with
               | Error e ->
                   save_back ();
@@ -440,9 +438,22 @@ let create_cvm_guest t ~entry_pc ~image =
                         | Ok _ -> ()
                         | Error e -> premap_err := Some e
                       done;
-                      (match !premap_err with
-                      | Some e -> abort e
-                      | None ->
+                      (* Let the SM post stores to the devices'
+                         latch-only registers instead of exiting. *)
+                      let zone_err =
+                        List.find_map
+                          (fun (gpa, size) ->
+                            match
+                              Zion.Monitor.register_coalesced_mmio t.monitor
+                                ~cvm:cid ~gpa ~size
+                            with
+                            | Ok () -> None
+                            | Error e -> Some (Zion.Ecall.error_to_string e))
+                          Mmio_emul.latch_zones
+                      in
+                      (match (!premap_err, zone_err) with
+                      | Some e, _ | None, Some e -> abort e
+                      | None, None ->
                           Mmio_emul.set_translate t.devices (fun gpa ->
                               Shared_map.lookup shared ~gpa);
                           Ok { cid; shared })
@@ -645,6 +656,20 @@ let backoff_with_jitter t stalls =
   in
   base + jitter
 
+(* Apply the stores the SM posted to the coalesced ring during the run
+   that just exited, oldest first: the device sees them before the exit
+   itself and before any ring service, the order one exit per store
+   would give. *)
+let drain_coalesced t h =
+  match Zion.Monitor.shared_vcpu_of t.monitor ~cvm:h.cid ~vcpu:0 with
+  | None -> ()
+  | Some sh ->
+      List.iter
+        (fun mmio ->
+          ignore (Mmio_emul.handle t.devices mmio : int64);
+          t.coalesced_applied <- t.coalesced_applied + 1)
+        (Zion.Vcpu.coalesced_writes sh)
+
 let run_cvm t h ~hart ~max_steps =
   Mmio_emul.set_translate t.devices (fun gpa ->
       Shared_map.lookup h.shared ~gpa);
@@ -662,6 +687,7 @@ let run_cvm t h ~hart ~max_steps =
       | Error Zion.Ecall.Denied -> C_denied
       | Error e -> C_error (Zion.Ecall.error_to_string e)
       | Ok reason -> begin
+          drain_coalesced t h;
           match reason with
           | Zion.Monitor.Exit_timer ->
               (* The timer tick doubles as the host's ring-polling
@@ -739,6 +765,7 @@ let run_cvm_to_completion t h ~hart ~quantum ~max_slices =
   go 0
 
 let mmio_exits_serviced t = t.mmio_serviced
+let coalesced_writes t = t.coalesced_applied
 let expansions t = t.expansions
 let expand_stalls t = t.expand_stalls
 

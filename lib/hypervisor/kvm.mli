@@ -65,7 +65,8 @@ val create_cvm_guest :
   (cvm_handle, string) result
 (** Full CVM setup: create through the SM, load and measure the image,
     finalize, build the hypervisor's shared subtree and hand its root to
-    the SM. *)
+    the SM, and register the devices' latch-only registers
+    ([Mmio_emul.latch_zones]) as coalesced-MMIO zones. *)
 
 type cvm_outcome =
   | C_timer
@@ -76,7 +77,9 @@ type cvm_outcome =
 
 val run_cvm :
   t -> cvm_handle -> hart:int -> max_steps:int -> cvm_outcome
-(** Drive the CVM until a scheduling-relevant event: MMIO exits are
+(** Drive the CVM until a scheduling-relevant event. After every exit
+    the stores the SM coalesced during the run are applied to the
+    devices in order, before the exit itself is handled. MMIO exits are
     emulated and resumed internally (through the shared vCPU or
     GET/SET_REG according to the monitor's configuration), shared-region
     faults are mapped, pool exhaustion triggers expansion. An expansion
@@ -102,6 +105,12 @@ val run_cvm_to_completion :
     it shuts down or the slice budget runs out. *)
 
 val mmio_exits_serviced : t -> int
+
+val coalesced_writes : t -> int
+(** Guest stores the SM posted to a coalesced-MMIO ring (see
+    [Zion.Monitor.register_coalesced_mmio]) and [run_cvm] applied to the
+    devices — each one an MMIO exit that did not happen. *)
+
 val expansions : t -> int
 
 (** {2 Exitless I/O}

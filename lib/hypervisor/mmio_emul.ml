@@ -25,6 +25,13 @@ let set_trace t tr =
    are shared between the two paths. *)
 let service_ring t host = Virtio_ring.service host ~blk:t.blk ~net:t.net
 
+let latch_zones =
+  let at slot (off, size) =
+    (Int64.add Zion.Layout.virtio_mmio_gpa (Int64.add slot off), size)
+  in
+  List.map (at blk_slot) Virtio_blk.latch_registers
+  @ List.map (at net_slot) Virtio_net.latch_registers
+
 let handle t (mmio : Zion.Vcpu.mmio) =
   let off = Int64.sub mmio.Zion.Vcpu.mmio_gpa Zion.Layout.virtio_mmio_gpa in
   if off < 0L || off >= 0x1000L then 0L

@@ -19,6 +19,10 @@ val set_translate : t -> (int64 -> int64 option) -> unit
 val set_trace : t -> Metrics.Trace.t -> unit
 (** Attach the platform flight recorder to both devices. *)
 
+val latch_zones : (int64 * int) list
+(** Both devices' [latch_registers] as absolute [(gpa, size)] zones:
+    what the hypervisor registers with the SM for coalesced MMIO. *)
+
 val handle : t -> Zion.Vcpu.mmio -> int64
 (** Emulate one trapped access; returns the load result (0 for
     writes). *)

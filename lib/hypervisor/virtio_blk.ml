@@ -178,6 +178,8 @@ let mmio_write t off _len v =
   | 0x08 -> process t
   | _ -> ()
 
+let latch_registers = [ (0x00L, 8) ]
+
 let requests_served t = t.requests
 let bytes_read t = t.bytes_r
 let bytes_written t = t.bytes_w

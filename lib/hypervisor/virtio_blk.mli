@@ -35,6 +35,11 @@ val set_trace : t -> Metrics.Trace.t -> unit
 val mmio_read : t -> int64 -> int -> int64
 val mmio_write : t -> int64 -> int -> int64 -> unit
 
+val latch_registers : (int64 * int) list
+(** [(offset, width)] of every register whose store only latches a
+    value for the next doorbell — [0x00]: no effect until a [0x08]
+    kick. The one list of what may be coalesced. *)
+
 val requests_served : t -> int
 val bytes_read : t -> int
 val bytes_written : t -> int

@@ -178,6 +178,8 @@ let mmio_write t off _len v =
   | 0x18 -> t.rx_buf_gpa <- v
   | _ -> ()
 
+let latch_registers = [ (0x00L, 8); (0x18L, 8) ]
+
 let tx_packets t = List.rev t.tx
 let tx_count t = List.length t.tx
 let rx_pending t = Queue.length t.rx

@@ -37,6 +37,11 @@ val inject_rx : t -> string -> unit
 val mmio_read : t -> int64 -> int -> int64
 val mmio_write : t -> int64 -> int -> int64 -> unit
 
+val latch_registers : (int64 * int) list
+(** [(offset, width)] of every register whose store only latches a
+    value for the next doorbell — [0x00] and [0x18]: no effect until a
+    [0x08] kick. The one list of what may be coalesced. *)
+
 val serve_ring_tx : t -> data_gpa:int64 -> len:int -> (int, string) result
 (** Exitless-ring TX: DMA the packet out and run the peer callback
     (replies land on the RX queue). Returns bytes sent or an error

@@ -26,9 +26,19 @@ val create : ?interval:int -> nharts:int -> unit -> t
 val interval : t -> int
 
 val sample : t -> hart:int -> pc:int64 -> unit
-(** Hot-path hook: called once per retired instruction by the
-    interpreter. Counts down; on expiry records one hit for [pc]'s
-    page under the hart's current CVM context. *)
+(** Hot-path hook, once per retired instruction: counts down; on expiry
+    records one hit for [pc]'s page under the hart's current CVM
+    context. Harts outside [0, nharts) are ignored. *)
+
+val countdowns : t -> int array
+(** The per-hart countdown [sample] decrements. The interpreter runs
+    [sample]'s non-expiry path on this array inline — a cross-module
+    call per retired instruction would cost more than the decrement —
+    and calls {!expire} when a countdown would reach zero. *)
+
+val expire : t -> hart:int -> pc:int64 -> unit
+(** [sample]'s expiry path: reset [hart]'s countdown and record one hit
+    for [pc]. [hart] must be in [0, nharts). *)
 
 val set_context : t -> hart:int -> cvm:int -> unit
 (** Attribute subsequent samples on [hart] to [cvm] ([-1] = host).

@@ -425,7 +425,12 @@ let sync_clint_mip (hart : Hart.t) =
   end
 
 let trace = ref false
-let profile : Metrics.Profile.t option ref = ref None
+(* The profiler with its countdown array, fetched once at install so
+   the per-instruction path makes no call. *)
+let profile : (Metrics.Profile.t * int array) option ref = ref None
+
+let set_profile p =
+  profile := Option.map (fun p -> (p, Metrics.Profile.countdowns p)) p
 
 let step (hart : Hart.t) =
   if !trace then
@@ -463,8 +468,13 @@ let step (hart : Hart.t) =
                 Int64.add hart.Hart.csr.Csr.minstret 1L;
               (match !profile with
               | None -> ()
-              | Some p ->
-                  Metrics.Profile.sample p ~hart:hart.Hart.id ~pc:pc_before)
+              | Some (p, countdown) ->
+                  let h = hart.Hart.id in
+                  if h < Array.length countdown then begin
+                    let c = countdown.(h) - 1 in
+                    if c > 0 then countdown.(h) <- c
+                    else Metrics.Profile.expire p ~hart:h ~pc:pc_before
+                  end)
             with Hart.Trap_exn (e, tval, tval2) ->
               hart.Hart.pc <- pc_before;
               Trap.take hart (Cause.Exception e) ~tval ~tval2

@@ -23,9 +23,11 @@ exception Halt of int64
 val trace : bool ref
 (** Debug: print mode/pc before each step. *)
 
-val profile : Metrics.Profile.t option ref
-(** PC-sampling profiler hook. [None] (the default) costs one branch
-    per retired instruction; when set, every retired instruction's pc
-    is offered to [Metrics.Profile.sample], which counts down and
-    buckets one sample per interval. Installed/removed by
+val set_profile : Metrics.Profile.t option -> unit
+(** Install ([Some]) or remove ([None], the default) the PC-sampling
+    profiler hook. Removed, it costs one branch per retired
+    instruction; installed, [step] runs [Metrics.Profile.sample]'s
+    non-expiry path inline on the profiler's per-hart countdown (a
+    decrement, compare and store) and calls [Metrics.Profile.expire]
+    once per interval. Used by
     [Monitor.enable_profiler]/[disable_profiler]. *)

@@ -45,7 +45,7 @@ let vcpu_tests =
           Asm.encode
             (Decode.Store { rs1 = 5; rs2 = 7; imm = 0L; width = Decode.W })
         in
-        (match Zion.Vcpu.decode_mmio sv ~htinst:store_word ~gpa:0x10001000L with
+        (match Zion.Vcpu.decode_mmio sv.Zion.Vcpu.regs ~htinst:store_word ~gpa:0x10001000L with
         | Ok m ->
             Alcotest.(check bool) "write" true m.Zion.Vcpu.mmio_write;
             Alcotest.(check int) "size" 4 m.Zion.Vcpu.mmio_size;
@@ -56,7 +56,7 @@ let vcpu_tests =
             (Decode.Load
                { rd = 9; rs1 = 5; imm = 0L; width = Decode.H; unsigned = true })
         in
-        (match Zion.Vcpu.decode_mmio sv ~htinst:load_word ~gpa:0x10001010L with
+        (match Zion.Vcpu.decode_mmio sv.Zion.Vcpu.regs ~htinst:load_word ~gpa:0x10001010L with
         | Ok m ->
             Alcotest.(check bool) "read" false m.Zion.Vcpu.mmio_write;
             Alcotest.(check int) "rd" 9 m.Zion.Vcpu.mmio_reg;
@@ -66,7 +66,7 @@ let vcpu_tests =
         let add = Asm.encode (Decode.Op (Decode.Add, 1, 2, 3)) in
         Alcotest.(check bool)
           "rejected" true
-          (Result.is_error (Zion.Vcpu.decode_mmio sv ~htinst:add ~gpa:0L)));
+          (Result.is_error (Zion.Vcpu.decode_mmio sv.Zion.Vcpu.regs ~htinst:add ~gpa:0L)));
     Alcotest.test_case "absorb applies width-correct sign extension"
       `Quick (fun () ->
         let sv = Zion.Vcpu.fresh_secure ~entry_pc:0x1000L in
