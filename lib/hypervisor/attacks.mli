@@ -69,8 +69,8 @@ val ring_avail_runaway : Kvm.t -> Kvm.cvm_handle -> outcome
 
 val ring_vectors : (string * (Kvm.t -> Kvm.cvm_handle -> outcome)) list
 (** Every ring-poison vector above, by its CLI name ([desc-gpa], ...),
-    in declaration order: the one list the bench sweep, [zionctl io
-    --poison] and the tests iterate. *)
+    in declaration order: the one list the bench sweep, [zionctl
+    attacks] and the tests iterate. *)
 
 (** {2 Hostile-peer channel attacks}
 
@@ -109,8 +109,8 @@ val chan_quarantined_peer :
 val chan_vectors :
   (string * (Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome)) list
 (** Every hostile-peer channel vector above, by its CLI name
-    ([poison-seq], ...): the one list [zionctl channel --attack] and the
-    tests iterate. *)
+    ([poison-seq], ...): the one list [zionctl attacks] and the tests
+    iterate. *)
 
 (** {2 Coalesced-MMIO registration attacks}
 
@@ -140,5 +140,6 @@ val coalesce_zone_unknown_cvm : Kvm.t -> Kvm.cvm_handle -> outcome
 (** Register on a CVM id that does not exist: [Not_found]. *)
 
 val coalesce_vectors : (string * (Kvm.t -> Kvm.cvm_handle -> outcome)) list
-(** Every coalesced-MMIO vector above, by name, in declaration order:
-    the one list [zionctl attacks] and the tests iterate. *)
+(** Every coalesced-MMIO vector above, by its CLI name
+    ([outside-window], ...), in declaration order: the one list
+    [zionctl attacks] and the tests iterate. *)

@@ -33,6 +33,6 @@ val histograms : t -> (scope * string * Histogram.t) list
 val clear : t -> unit
 
 val dump : t -> string
-(** Rendered tables of every counter and histogram, for
-    [zionctl stats] and the bench harness. Empty string when the
-    registry recorded nothing. *)
+(** Rendered tables of every counter and histogram, for the
+    [zionctl telemetry] and [zionctl migrate] reports. Empty string
+    when the registry recorded nothing. *)

@@ -53,8 +53,9 @@ val run_traced :
     [profile_interval], when given, also enables the guest PC-sampling
     profiler for the duration of the run and registers the guest text
     as a symbol region. [on_slice] is called after every expired
-    quantum — the live hook behind [zionctl top]. The returned testbed
-    exposes the trace, registry and profiler for export. *)
+    quantum — the live hook behind [zionctl telemetry --live]. The
+    returned testbed exposes the trace, registry and profiler for
+    export. *)
 
 val average_throughput_drop : row list -> float
 val average_latency_increase : row list -> float

@@ -10,8 +10,6 @@ let name = function
   | Coremark_mix -> "coremark_mix"
   | Rv8_mix_paged -> "rv8_mix_paged"
 
-let of_name s = List.find_opt (fun w -> name w = s) all
-
 (* Arithmetic/memory mix in the style of the rv8 kernels: mul-accumulate,
    store/load round-trip, shifts, an AMO, and a counted inner loop. *)
 let prog_rv8 =
@@ -89,6 +87,8 @@ let program = function
 
 let paged = function Rv8_mix_paged -> true | Rv8_mix | Coremark_mix -> false
 
+(* Everything architecturally visible after a run, including the full
+   cycle-ledger attribution. Compared structurally between arms. *)
 type state = {
   clock : int;
   categories : (string * int) list;

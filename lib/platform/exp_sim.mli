@@ -14,29 +14,15 @@ type workload =
 
 val all : workload list
 val name : workload -> string
-val of_name : string -> workload option
-
-type state = {
-  clock : int;
-  categories : (string * int) list;
-  regs : int64 array;
-  pc : int64;
-  minstret : int64;
-}
-(** Everything architecturally visible after a run, including the full
-    cycle-ledger attribution. Compared structurally between arms. *)
-
-type run = { executed : int; seconds : float; state : state }
-
-val run : workload -> fast:bool -> steps:int -> run
-(** One measured run on a fresh single-hart machine. *)
 
 type ab = {
   workload : workload;
   baseline_ips : float;
   fast_ips : float;
   speedup : float;
-  identical : bool;  (** [state] equal between the two arms *)
+  identical : bool;
+      (** registers, pc, minstret and the full cycle ledger equal between
+          the two arms *)
 }
 
 val ab_compare : workload -> steps:int -> ab

@@ -99,4 +99,4 @@ val scaled : float -> t
 
 val to_assoc : t -> (string * int) list
 (** Every field as a [(name, cycles)] pair, in declaration order — for
-    machine-readable dumps ([zionctl costs --json]). *)
+    the [zionctl costs] table and its [--json] dump. *)
