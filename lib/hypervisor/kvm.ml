@@ -747,7 +747,7 @@ let run_cvm t h ~hart ~max_steps =
   in
   drive max_steps 0
 
-let run_cvm_to_completion t h ~hart ~quantum ~max_slices =
+let run_cvm_to_completion ?on_slice t h ~hart ~quantum ~max_slices =
   let clint = Bus.clint t.machine.Machine.bus in
   let hart_obj = t.machine.Machine.harts.(hart) in
   hart_obj.Hart.csr.Csr.mie <-
@@ -758,7 +758,9 @@ let run_cvm_to_completion t h ~hart ~quantum ~max_slices =
       Clint.set_mtimecmp clint hart
         (Int64.of_int (Metrics.Ledger.now (ledger t) + quantum));
       match run_cvm t h ~hart ~max_steps:10_000_000 with
-      | C_timer -> go (slice + 1)
+      | C_timer ->
+          Option.iter (fun f -> f slice) on_slice;
+          go (slice + 1)
       | other -> other
     end
   in

@@ -100,9 +100,17 @@ val set_expand_policy : t -> expand_policy -> unit
     make progress, and [run_cvm] gives up after bounded retries). *)
 
 val run_cvm_to_completion :
-  t -> cvm_handle -> hart:int -> quantum:int -> max_slices:int -> cvm_outcome
+  ?on_slice:(int -> unit) ->
+  t ->
+  cvm_handle ->
+  hart:int ->
+  quantum:int ->
+  max_slices:int ->
+  cvm_outcome
 (** Keep scheduling the CVM (reprogramming the timer each slice) until
-    it shuts down or the slice budget runs out. *)
+    it shuts down or the slice budget runs out. [on_slice] gets the
+    index of every expired slice, so a caller can watch the run between
+    quanta. *)
 
 val mmio_exits_serviced : t -> int
 
