@@ -51,8 +51,8 @@ let boot_cmd =
 
 (* Every packaged attack vector by CLI name, each fired on a fresh
    stack: the platform's secure-memory and DMA probes, hostile
-   coalesced-MMIO registrations, exitless-ring poisoning and hostile
-   channel peers. *)
+   coalesced-MMIO registrations, exitless-ring poisoning, a replayed
+   migration blob and hostile channel peers. *)
 let attack_vectors =
   let module A = Hypervisor.Attacks in
   let platform attack () =
@@ -86,7 +86,9 @@ let attack_vectors =
     ("write-secure-memory", platform A.write_secure_memory);
     ("dma-into-pool", platform A.dma_into_pool);
   ]
-  @ each one_cvm (A.coalesce_vectors @ A.ring_vectors)
+  @ each one_cvm
+      (A.coalesce_vectors @ A.ring_vectors
+      @ [ ("mig-replay-prepare", A.mig_replay_prepare) ])
   @ each two_cvms A.chan_vectors
 
 let attacks_cmd =
@@ -941,14 +943,28 @@ let telemetry_cmd =
        $ live))
 
 let channel_cmd =
+  (* One ring payload, else a usage error: never cut silently. *)
+  let payload =
+    Arg.conv
+      ( (fun s ->
+          let n = String.length s in
+          if n >= 1 && n <= Zion.Layout.chan_max_msg then Ok s
+          else
+            Error
+              (`Msg
+                 (Printf.sprintf "%d bytes; a channel message is 1 to %d" n
+                    Zion.Layout.chan_max_msg))),
+        Format.pp_print_string )
+  in
   let msg =
     Arg.(
       value
-      & opt string "zion ping"
+      & opt payload "zion ping"
       & info [ "msg" ] ~docv:"STR"
           ~doc:
-            "Message CVM A sends to CVM B over the attested channel \
-             (at most the 2032-byte ring payload).")
+            "Message CVM A sends to CVM B over the attested channel, \
+             1 to 2032 bytes (the ring payload); a longer one is a \
+             usage error.")
   in
   let json =
     Arg.(
@@ -956,11 +972,6 @@ let channel_cmd =
       & info [ "json" ] ~doc:"Emit the result as JSON instead of a table.")
   in
   let run msg json_out =
-    let msg =
-      if String.length msg > Zion.Layout.chan_max_msg then
-        String.sub msg 0 Zion.Layout.chan_max_msg
-      else msg
-    in
     let tb = Platform.Testbed.create () in
     let kvm = tb.Platform.Testbed.kvm in
     let mon = tb.Platform.Testbed.monitor in
@@ -971,7 +982,7 @@ let channel_cmd =
     in
     let b =
       Platform.Testbed.cvm tb
-        (Guest.Gprog.chan_recv_putchar ~chan:1 @ Guest.Gprog.shutdown)
+        (Guest.Gprog.chan_recv_print ~chan:1 @ Guest.Gprog.shutdown)
     in
     match
       Hypervisor.Kvm.connect_channel kvm a b ~nonce_a:"zionctl-challenge-a"
@@ -997,6 +1008,8 @@ let channel_cmd =
         let ida = Hypervisor.Kvm.cvm_id a
         and idb = Hypervisor.Kvm.cvm_id b in
         let console = Zion.Monitor.console_output mon in
+        (* A prints the send status, then B every byte it received. *)
+        let delivered = console = "S" ^ msg in
         (match Zion.Monitor.chan_revoke mon ~chan:ch ~cvm:ida with
         | Ok () -> ()
         | Error e ->
@@ -1016,6 +1029,7 @@ let channel_cmd =
                     ("chan", n ch);
                     ("completed", Bool done_ok);
                     ("console", Str console);
+                    ("delivered", Bool delivered);
                     ("grants_a", n (counter ida "sm.chan.grants"));
                     ("accepts_b", n (counter idb "sm.chan.accepts"));
                     ("revokes_a", n (counter ida "sm.chan.revokes"));
@@ -1046,13 +1060,14 @@ let channel_cmd =
             ~header:[ "metric"; "value" ]
             [
               [ "guest outcome"; (if done_ok then "shutdown" else "incomplete") ];
+              [ "message delivered"; (if delivered then "intact" else "NO") ];
               [ "grants (A)"; string_of_int (counter ida "sm.chan.grants") ];
               [ "accepts (B)"; string_of_int (counter idb "sm.chan.accepts") ];
               [ "revokes (A)"; string_of_int (counter ida "sm.chan.revokes") ];
               [ "audit"; (if audit_clean then "clean" else "VIOLATIONS") ];
             ]
         end;
-        if not (done_ok && audit_clean) then exit 1
+        if not (done_ok && delivered && audit_clean) then exit 1
   in
   Cmd.v
     (Cmd.info "channel"
@@ -1060,7 +1075,9 @@ let channel_cmd =
          "Attested inter-CVM channel demo: grant, mutual attestation \
           verification, accept, guest send and receive over the shared \
           ring, revoke with scrub and precise shootdown. The hostile-peer \
-          vectors run under $(b,attacks)")
+          vectors run under $(b,attacks). Exits 1 unless both guests \
+          shut down, B printed exactly the message A sent and the audit \
+          is clean")
     Term.(const run $ msg $ json)
 
 (* ---------- costs ---------- *)

@@ -311,26 +311,14 @@ val chan_list : t -> chan_info list
 (** All channels this monitor knows, sorted by id (dead ones
     included). *)
 
-val export_cvm : t -> cvm:int -> (string, Ecall.error) result
-(** Snapshot a suspended (or not-yet-run) CVM into an encrypted,
-    authenticated migration blob (see [Migrate]) the untrusted
-    hypervisor can transport. The source CVM is left intact; the host
-    destroys it once the move commits. *)
-
-val import_cvm : t -> string -> (int, Ecall.error) result
-(** Rebuild a CVM from a migration blob: verify, decrypt, allocate fresh
-    secure memory, restore pages, vCPU state and measurement. Returns
-    the new CVM id, ready to resume. [Denied] on authentication
-    failure. *)
-
 (* {2 Crash-safe migration sessions (2PC handoff)}
 
-   The one-shot [export_cvm]/[import_cvm] pair above remains as a
-   building block, but the migration story is the session API below,
-   driven by the [Migrate_proto] endpoints over an unreliable courier.
-   All decision state — who owns the guest — lives in the monitors'
-   session tables, so a crashed endpoint recovers by re-deriving its
-   protocol position from [migrate_session]. Ownership rules:
+   The session API below is the only way a CVM leaves or enters a
+   monitor: there is no one-shot export or import. It is driven by the
+   [Migrate_proto] endpoints over an unreliable courier. All decision
+   state — who owns the guest — lives in the monitors' session tables,
+   so a crashed endpoint recovers by re-deriving its protocol position
+   from [migrate_session]. Ownership rules:
 
    - [migrate_out_begin] locks the source CVM in [Migrating_out]: not
      runnable, fully resumable via [migrate_out_abort].
@@ -342,7 +330,10 @@ val import_cvm : t -> string -> (int, Ecall.error) result
      [migrate_in_commit] is the only way forward.
    - Session ids are single-use per direction: a committed or aborted
      in-session never accepts another blob ([Denied]), which rejects
-     replays of a committed session. *)
+     replays of a committed session.
+   - A blob enters a monitor under one in-session only: a blob whose
+     tag another in-session already holds is [Denied], so one export
+     replayed under a second session id cannot build a clone. *)
 
 val migrate_out_begin :
   ?budget:int ->
@@ -373,8 +364,9 @@ val migrate_in_prepare :
 (** Verify a reassembled blob and build the destination CVM in
     [Migrating_in] (2PC prepared). Returns the CVM id. A later epoch of
     the same session replaces an earlier prepared instance; [Denied] on
-    authentication failure or on replay of a committed/aborted session;
-    [Bad_state] on a stale epoch. *)
+    authentication failure, on replay of a committed/aborted session,
+    or on a blob another in-session already holds; [Bad_state] on a
+    stale epoch. *)
 
 val migrate_in_commit : t -> session:string -> (int, Ecall.error) result
 (** Activate a prepared CVM ([Migrating_in] → [Suspended], ready to

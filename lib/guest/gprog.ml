@@ -258,8 +258,10 @@ let chan_send ~chan ~msg =
   @ Asm.li Asm.a7 Zion.Ecall.sbi_legacy_putchar
   @ [ Ecall ]
 
-let chan_recv_putchar ~chan =
+let chan_recv_print ~chan =
   assert (Int64.logand chan_recv_buf_gpa 0xFFFL = 0L);
+  let putchar_eid = Zion.Ecall.sbi_legacy_putchar in
+  assert (putchar_eid >= 0L && putchar_eid < 2048L);
   (* touch the buffer so it is mapped before the SM copies into it *)
   store_u64 ~gpa:chan_recv_buf_gpa 0L
   @ Asm.li Asm.a0 (Int64.of_int chan)
@@ -270,19 +272,25 @@ let chan_recv_putchar ~chan =
   @ [ Ecall ]
   (* a0 = error, a1 = delivered length (0 = nothing pending) *)
   @ [
-      (* +0: error -> 'E' at +28 *) Branch (Bne, Asm.a0, 0, 28L);
-      (* +4: idle -> '-' at +20 *) Branch (Beq, Asm.a1, 0, 16L);
-      (* +8 *) Lui (Asm.t0, chan_recv_buf_gpa);
-      (* +12 *)
+      (* +0: error -> 'E' at +48 *) Branch (Bne, Asm.a0, 0, 48L);
+      (* +4: idle -> '-' at +40 *) Branch (Beq, Asm.a1, 0, 36L);
+      (* +8: t0 walks the buffer up to t1 = buf + a1 *)
+      Lui (Asm.t0, chan_recv_buf_gpa);
+      (* +12 *) Op (Add, Asm.t1, Asm.t0, Asm.a1);
+      (* +16: loop *)
       Load { rd = Asm.a0; rs1 = Asm.t0; imm = 0L; width = B; unsigned = true };
-      (* +16: done at +32 *) Jal (0, 16L);
-      (* +20 *) Op_imm (Add, Asm.a0, 0, Int64.of_int (Char.code '-'));
-      (* +24: done at +32 *) Jal (0, 8L);
-      (* +28 *) Op_imm (Add, Asm.a0, 0, Int64.of_int (Char.code 'E'));
-      (* +32: fallthrough *)
+      (* +20 *) Op_imm (Add, Asm.a7, 0, putchar_eid);
+      (* +24 *) Ecall;
+      (* +28 *) Op_imm (Add, Asm.t0, Asm.t0, 1L);
+      (* +32: next byte at +16 *) Branch (Bne, Asm.t0, Asm.t1, -16L);
+      (* +36: done at +60 *) Jal (0, 24L);
+      (* +40 *) Op_imm (Add, Asm.a0, 0, Int64.of_int (Char.code '-'));
+      (* +44: print at +52 *) Jal (0, 8L);
+      (* +48 *) Op_imm (Add, Asm.a0, 0, Int64.of_int (Char.code 'E'));
+      (* +52 *) Op_imm (Add, Asm.a7, 0, putchar_eid);
+      (* +56 *) Ecall;
+      (* +60: fallthrough *)
     ]
-  @ Asm.li Asm.a7 Zion.Ecall.sbi_legacy_putchar
-  @ [ Ecall ]
 
 (* Spin until the u64 at [gpa] reaches [target] — the release in the
    channel/bounce ping-pong benches is always the peer's (or host's)
@@ -322,7 +330,7 @@ let copy_words ~from_gpa ~to_gpa ~len =
       ]
 
 (* Benchmark-weight channel data plane: stage with a compact fill loop
-   and skip the console status chatter of [chan_send]/[chan_recv_putchar]. *)
+   and skip the console status chatter of [chan_send]/[chan_recv_print]. *)
 let chan_send_fill ~chan ~byte ~len =
   fill_bytes ~gpa:chan_send_buf_gpa ~byte ~len
   @ Asm.li Asm.a0 (Int64.of_int chan)

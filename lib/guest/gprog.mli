@@ -84,11 +84,11 @@ val chan_send : chan:int -> msg:string -> Riscv.Decode.t list
     through the SM's chan-send ecall; prints 'S' on success / 'E' on a
     typed error. Does not shut down. *)
 
-val chan_recv_putchar : chan:int -> Riscv.Decode.t list
+val chan_recv_print : chan:int -> Riscv.Decode.t list
 (** Consume one message from channel [chan] through the SM's chan-recv
-    ecall (Check-after-Load on the peer's header) and print its first
-    byte; '-' when nothing is pending, 'E' on a typed error. Does not
-    shut down. *)
+    ecall (Check-after-Load on the peer's header) and print every
+    delivered byte; '-' when nothing is pending, 'E' on a typed error.
+    Does not shut down. *)
 
 val chan_direct_send :
   chan:int -> from_a:bool -> byte:char -> len:int -> Riscv.Decode.t list
@@ -114,6 +114,6 @@ val chan_send_fill : chan:int -> byte:char -> len:int -> Riscv.Decode.t list
     output. Does not shut down. *)
 
 val chan_recv_quiet : chan:int -> Riscv.Decode.t list
-(** Benchmark-weight [chan_recv_putchar]: one chan-recv ecall into the
+(** Benchmark-weight [chan_recv_print]: one chan-recv ecall into the
     private receive buffer, no branching or console output. Does not
     shut down. *)

@@ -447,12 +447,12 @@ let chan_vectors =
 
 (* ---------- coalesced-MMIO registration attacks ---------- *)
 
-(* A hostile registration must come back as the one expected typed
-   error, never [Ok] and never an exception, with the audit clean. *)
-let zone_judge kvm ~label ~want r =
+(* A hostile call must come back as the one expected typed error,
+   never [Ok] and never an exception, with the audit clean. *)
+let refusal_judge kvm ~label ~want r =
   match r with
   | exception e -> Leaked (label ^ ": exception escaped " ^ Printexc.to_string e)
-  | Ok () -> Leaked (label ^ ": the SM accepted the zone")
+  | Ok () -> Leaked (label ^ ": the SM accepted it")
   | Error e when e <> want ->
       Leaked
         (Printf.sprintf "%s: expected %s, got %s" label
@@ -475,17 +475,17 @@ let window_end =
 let coalesce_zone_outside_window kvm h =
   (* Straddles the end of the window: the first byte is a device
      register, the last is not. *)
-  zone_judge kvm ~label:"zone past the virtio window"
+  refusal_judge kvm ~label:"zone past the virtio window"
     ~want:Zion.Ecall.Invalid_address
     (register kvm ~cvm:(Kvm.cvm_id h) ~gpa:(Int64.sub window_end 4L) ~size:8)
 
 let coalesce_zone_private_ram kvm h =
-  zone_judge kvm ~label:"zone over private RAM"
+  refusal_judge kvm ~label:"zone over private RAM"
     ~want:Zion.Ecall.Invalid_address
     (register kvm ~cvm:(Kvm.cvm_id h) ~gpa:0x10000L ~size:8)
 
 let coalesce_zone_shared_ram kvm h =
-  zone_judge kvm ~label:"zone over shared RAM"
+  refusal_judge kvm ~label:"zone over shared RAM"
     ~want:Zion.Ecall.Invalid_address
     (register kvm ~cvm:(Kvm.cvm_id h) ~gpa:Sw.desc_gpa ~size:8)
 
@@ -502,7 +502,7 @@ let coalesce_zone_flood kvm h =
       | Ok () -> go (i + 1)
       | Error _ as e -> e
   in
-  zone_judge kvm ~label:"zone count over the limit" ~want:Zion.Ecall.Denied
+  refusal_judge kvm ~label:"zone count over the limit" ~want:Zion.Ecall.Denied
     (go 0)
 
 let coalesce_zone_quarantined kvm _h =
@@ -528,7 +528,7 @@ let coalesce_zone_quarantined kvm _h =
         match tamper_mmio_pc_advance mon ~cvm with
         | Leaked _ as l -> l
         | Blocked _ ->
-            zone_judge kvm ~label:"zone on a quarantined CVM"
+            refusal_judge kvm ~label:"zone on a quarantined CVM"
               ~want:Zion.Ecall.Quarantined
               (register kvm ~cvm ~gpa:Zion.Layout.virtio_mmio_gpa ~size:8)
       in
@@ -536,7 +536,7 @@ let coalesce_zone_quarantined kvm _h =
       verdict
 
 let coalesce_zone_unknown_cvm kvm _h =
-  zone_judge kvm ~label:"zone on an unknown CVM" ~want:Zion.Ecall.Not_found
+  refusal_judge kvm ~label:"zone on an unknown CVM" ~want:Zion.Ecall.Not_found
     (register kvm ~cvm:0x7FFF_FFFF ~gpa:Zion.Layout.virtio_mmio_gpa ~size:8)
 
 let coalesce_vectors =
@@ -548,3 +548,29 @@ let coalesce_vectors =
     ("quarantined", coalesce_zone_quarantined);
     ("unknown-cvm", coalesce_zone_unknown_cvm);
   ]
+
+(* ---------- migration replay ---------- *)
+
+let mig_replay_prepare kvm h =
+  let mon = Kvm.monitor kvm in
+  match
+    Zion.Monitor.migrate_out_begin mon ~cvm:(Kvm.cvm_id h) ~session:"replay-out"
+  with
+  | Error e -> Blocked ("setup: " ^ Zion.Ecall.error_to_string e)
+  | Ok (blob, epoch) ->
+      let prepare session =
+        Result.map ignore
+          (Zion.Monitor.migrate_in_prepare mon ~session ~epoch blob)
+      in
+      let verdict =
+        match prepare "replay-1" with
+        | Error e -> Blocked ("setup: " ^ Zion.Ecall.error_to_string e)
+        | Ok () ->
+            refusal_judge kvm ~label:"blob replayed under a second session"
+              ~want:Zion.Ecall.Denied (prepare "replay-2")
+      in
+      List.iter
+        (fun session -> ignore (Zion.Monitor.migrate_in_abort mon ~session))
+        [ "replay-1"; "replay-2" ];
+      ignore (Zion.Monitor.migrate_out_abort mon ~session:"replay-out");
+      verdict

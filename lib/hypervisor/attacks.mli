@@ -143,3 +143,12 @@ val coalesce_vectors : (string * (Kvm.t -> Kvm.cvm_handle -> outcome)) list
 (** Every coalesced-MMIO vector above, by its CLI name
     ([outside-window], ...), in declaration order: the one list
     [zionctl attacks] and the tests iterate. *)
+
+(** {2 Migration replay} *)
+
+val mig_replay_prepare : Kvm.t -> Kvm.cvm_handle -> outcome
+(** Loopback on one monitor: export the CVM through
+    [migrate_out_begin], prepare the blob under one in-session, then
+    replay the same bytes under a second session id. The replay must be
+    [Denied] with the audit clean; accepted, it would build a clone of
+    the guest. Every session it opened is aborted afterwards. *)

@@ -80,11 +80,11 @@ val run :
     The crash-consistency counterpart to the hostile-host fuzzer: kill
     the Secure Monitor at {e every} write-ahead-journal point of every
     journaled operation (create, load, expand, relinquish, destroy,
-    quarantine, import, all six migration-session calls, and every
-    channel transition — grant, accept, revoke, strike-budget
-    degradation, and the implicit revocations on endpoint destroy,
-    quarantine and migrate-out commit), model the
-    reboot with [Zion.Monitor.crash_reboot], run
+    quarantine, all six migration-session calls, and every channel
+    transition — grant, accept, revoke, strike-budget degradation, and
+    the implicit revocations on endpoint destroy, quarantine and
+    migrate-out commit), model the reboot with
+    [Zion.Monitor.crash_reboot], run
     [Zion.Monitor.recover], and demand convergence — a clean audit, an
     idempotent second recovery, and a world that still tears down to an
     all-free pool. For the ten roll-forward host calls (destroy, both

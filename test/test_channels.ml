@@ -352,7 +352,7 @@ let guest_tests =
         in
         let hb =
           make_guest kvm
-            (Guest.Gprog.chan_recv_putchar ~chan:1 @ Guest.Gprog.shutdown)
+            (Guest.Gprog.chan_recv_print ~chan:1 @ Guest.Gprog.shutdown)
         in
         let chan = connect kvm ha hb in
         Alcotest.(check int) "first channel id" 1 chan;
@@ -366,8 +366,8 @@ let guest_tests =
         in
         run ha "sender";
         run hb "receiver";
-        (* 'S' from the send ecall, then the message's first byte. *)
-        Alcotest.(check string) "console" "SZ" (Zion.Monitor.console_output mon);
+        (* 'S' from the send ecall, then every byte of the message. *)
+        Alcotest.(check string) "console" "SZion" (Zion.Monitor.console_output mon);
         check_audit_clean mon "guest e2e");
     Alcotest.test_case "recv on an idle channel reports idle" `Quick
       (fun () ->
@@ -375,7 +375,7 @@ let guest_tests =
         let ha = make_guest kvm (Guest.Gprog.hello "a") in
         let hb =
           make_guest kvm
-            (Guest.Gprog.chan_recv_putchar ~chan:1 @ Guest.Gprog.shutdown)
+            (Guest.Gprog.chan_recv_print ~chan:1 @ Guest.Gprog.shutdown)
         in
         (match connect kvm ha hb with
         | 1 -> ()

@@ -69,6 +69,33 @@ let totality_tests =
       | 1 -> String.init (rint next 64) (fun _ -> Char.chr (rint next 256))
       | _ -> "ZMIG1" ^ String.init (rint next 256) (fun _ -> Char.chr (rint next 256))
     in
+    let fuzz_session () =
+      match rint next 3 with
+      | 0 -> "s" ^ string_of_int (rint next 4)
+      | 1 -> ""
+      | _ -> String.init (rint next 80) (fun _ -> Char.chr (rint next 256))
+    in
+    (* A genuine seal from a small pool of images and nonces: prepare
+       builds CVMs from it, and the same bytes keep coming back under
+       other session ids. *)
+    let sealed_blob () =
+      Zion.Migrate.seal
+        ~nonce:(string_of_int (rint next 4))
+        {
+          Zion.Migrate.im_vcpus =
+            [
+              {
+                Zion.Migrate.vi_regs = Array.make 32 0L;
+                vi_pc = guest_entry;
+                vi_csrs = Array.make 8 0L;
+              };
+            ];
+          im_measurement = "";
+          im_pages =
+            List.init (rint next 3) (fun i ->
+                (Int64.add 0x200000L (Int64.of_int (i * 4096)), String.make 4096 'p'));
+        }
+    in
     [
       ( "register_secure_region",
         fun () ->
@@ -114,10 +141,17 @@ let totality_tests =
                ~vcpu:(rint next 4 - 1)
                ~reg:(rint next 40 - 2)
                (next ())) );
-      ( "export_cvm",
-        fun () -> ignore (Zion.Monitor.export_cvm mon ~cvm:(fuzz_id ())) );
-      ( "import_cvm",
-        fun () -> ignore (Zion.Monitor.import_cvm mon (fuzz_blob ())) );
+      ( "migrate_out_begin",
+        fun () ->
+          ignore
+            (Zion.Monitor.migrate_out_begin mon ~cvm:(fuzz_id ())
+               ~session:(fuzz_session ())) );
+      ( "migrate_in_prepare",
+        fun () ->
+          ignore
+            (Zion.Monitor.migrate_in_prepare mon ~session:(fuzz_session ())
+               ~epoch:(rint next 4 - 1)
+               (if rint next 2 = 0 then sealed_blob () else fuzz_blob ())) );
       ( "destroy_cvm",
         fun () -> ignore (Zion.Monitor.destroy_cvm mon ~cvm:(fuzz_id ())) );
     ]
@@ -154,8 +188,8 @@ let totality_tests =
       ("run_vcpu", 106);
       ("get_vcpu_reg", 107);
       ("set_vcpu_reg", 108);
-      ("export_cvm", 109);
-      ("import_cvm", 110);
+      ("migrate_out_begin", 109);
+      ("migrate_in_prepare", 110);
       ("destroy_cvm", 111);
     ]
 
@@ -179,7 +213,10 @@ let mixed_totality_test =
               (Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:(rint next 8) ~vcpu:0
                  ~max_steps:200));
           (fun () -> ignore (Zion.Monitor.destroy_cvm mon ~cvm:(rint next 8)));
-          (fun () -> ignore (Zion.Monitor.export_cvm mon ~cvm:(rint next 8)));
+          (fun () ->
+            ignore
+              (Zion.Monitor.migrate_out_begin mon ~cvm:(rint next 8)
+                 ~session:(Printf.sprintf "m%d" (rint next 4))));
         |]
       in
       for _ = 1 to 2000 do
@@ -248,8 +285,9 @@ let quarantine_tests =
           (Zion.Monitor.load_image mon ~cvm:id ~gpa:guest_entry "x"
           = Error Zion.Ecall.Quarantined);
         Alcotest.(check bool)
-          "export refused" true
-          (Zion.Monitor.export_cvm mon ~cvm:id = Error Zion.Ecall.Quarantined);
+          "migrate-out refused" true
+          (Zion.Monitor.migrate_out_begin mon ~cvm:id ~session:"q"
+          = Error Zion.Ecall.Quarantined);
         Alcotest.(check bool)
           "get_reg refused" true
           (Zion.Monitor.get_vcpu_reg mon ~cvm:id ~vcpu:0 ~reg:0

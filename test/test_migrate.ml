@@ -1,4 +1,5 @@
-(* CVM migration (export/import) and guest page relinquish. *)
+(* CVM migration (sealed blobs, the session handoff between two
+   platforms) and guest page relinquish. *)
 
 open Riscv
 
@@ -50,7 +51,7 @@ let format_tests =
   [
     Alcotest.test_case "seal/unseal round-trips" `Quick (fun () ->
         let im = sample_image () in
-        match Zion.Migrate.unseal (Zion.Migrate.seal im) with
+        match Zion.Migrate.unseal (Zion.Migrate.seal ~nonce:"n" im) with
         | Error e -> Alcotest.fail e
         | Ok im' ->
             Alcotest.(check int)
@@ -68,7 +69,7 @@ let format_tests =
     Alcotest.test_case "blob is opaque (no plaintext leaks)" `Quick
       (fun () ->
         let im = sample_image () in
-        let blob = Zion.Migrate.seal im in
+        let blob = Zion.Migrate.seal ~nonce:"n" im in
         (* the page fill bytes must not appear in the blob *)
         let contains_run c n =
           let run = String.make n c in
@@ -80,7 +81,7 @@ let format_tests =
         in
         Alcotest.(check bool) "no 64-byte 'a' run" false (contains_run 'a' 64));
     Alcotest.test_case "any single-byte flip is rejected" `Quick (fun () ->
-        let blob = Zion.Migrate.seal (sample_image ()) in
+        let blob = Zion.Migrate.seal ~nonce:"n" (sample_image ()) in
         (* flip a byte in the middle of the ciphertext and at the tag *)
         List.iter
           (fun pos ->
@@ -93,23 +94,33 @@ let format_tests =
               (Result.is_error (Zion.Migrate.unseal (Bytes.to_string b))))
           [ 30; String.length blob / 2; String.length blob - 1 ]);
     Alcotest.test_case "truncation is rejected" `Quick (fun () ->
-        let blob = Zion.Migrate.seal (sample_image ()) in
+        let blob = Zion.Migrate.seal ~nonce:"n" (sample_image ()) in
         Alcotest.(check bool)
           "short" true
           (Result.is_error
              (Zion.Migrate.unseal (String.sub blob 0 (String.length blob / 2)))));
     Alcotest.test_case "repeated exports are unlinkable" `Quick (fun () ->
-        (* Two seals of an unchanged image must not be byte-identical:
+        (* Two exports of an unchanged CVM must not be byte-identical:
            a deterministic export would let the host correlate
-           snapshots. Pinning the nonce restores determinism (the
-           migration protocol relies on that for crash recovery). *)
-        let im = sample_image () in
-        let b1 = Zion.Migrate.seal im and b2 = Zion.Migrate.seal im in
+           snapshots. Each out-session draws its own nonce; a pinned
+           nonce restores determinism (the migration protocol relies on
+           that for crash recovery). *)
+        let _, mon = make_platform () in
+        let id = make_cvm mon (Guest.Gprog.hello "x") in
+        let export session =
+          match Zion.Monitor.migrate_out_begin mon ~cvm:id ~session with
+          | Ok (blob, _) -> blob
+          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
+        in
+        let b1 = export "first" in
+        ignore (Zion.Monitor.migrate_out_abort mon ~session:"first");
+        let b2 = export "second" in
         Alcotest.(check bool) "fresh nonces differ" false (String.equal b1 b2);
         Alcotest.(check bool)
           "both verify" true
           (Result.is_ok (Zion.Migrate.unseal b1)
           && Result.is_ok (Zion.Migrate.unseal b2));
+        let im = sample_image () in
         let p1 = Zion.Migrate.seal ~nonce:"pin" im
         and p2 = Zion.Migrate.seal ~nonce:"pin" im in
         Alcotest.(check bool) "pinned nonce is stable" true (String.equal p1 p2));
@@ -152,23 +163,26 @@ let migration_tests =
         Alcotest.(check string)
           "source printed only S" "S"
           (Zion.Monitor.console_output mon_a);
-        (* export, destroy the source, import on a fresh platform *)
-        let blob =
-          match Zion.Monitor.export_cvm mon_a ~cvm:id_a with
-          | Ok b -> b
+        (* the 2PC handoff to a fresh platform: lock and seal on the
+           source, prepare on the destination, commit the source (which
+           scrubs it), then activate the destination *)
+        let ok = function
+          | Ok v -> v
           | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
         in
         let m_src = Zion.Monitor.cvm_measurement mon_a ~cvm:id_a in
-        (match Zion.Monitor.destroy_cvm mon_a ~cvm:id_a with
-        | Ok () -> ()
-        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
-        let machine_b, mon_b = make_platform () in
-        ignore machine_b;
-        let id_b =
-          match Zion.Monitor.import_cvm mon_b blob with
-          | Ok id -> id
-          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
+        let _, mon_b = make_platform () in
+        let session = "mid-run" in
+        let blob, epoch =
+          ok (Zion.Monitor.migrate_out_begin mon_a ~cvm:id_a ~session)
         in
+        ignore (ok (Zion.Monitor.migrate_in_prepare mon_b ~session ~epoch blob));
+        ok (Zion.Monitor.migrate_out_commit mon_a ~session);
+        let id_b = ok (Zion.Monitor.migrate_in_commit mon_b ~session) in
+        Alcotest.(check (option string))
+          "source destroyed" (Some "destroyed")
+          (Option.map Zion.Cvm.state_to_string
+             (Zion.Monitor.cvm_state mon_a ~cvm:id_a));
         Alcotest.(check bool)
           "measurement travelled" true
           (Zion.Monitor.cvm_measurement mon_b ~cvm:id_b = m_src);
@@ -183,19 +197,24 @@ let migration_tests =
         Alcotest.(check string)
           "destination printed only D" "D"
           (Zion.Monitor.console_output mon_b));
-    Alcotest.test_case "tampered blob is refused by import" `Quick
+    Alcotest.test_case "tampered blob is refused by prepare" `Quick
       (fun () ->
         let _, mon_a = make_platform () in
         let id = make_cvm mon_a (Guest.Gprog.hello "x") in
-        let blob = Result.get_ok (Zion.Monitor.export_cvm mon_a ~cvm:id) in
+        let blob, epoch =
+          Result.get_ok
+            (Zion.Monitor.migrate_out_begin mon_a ~cvm:id ~session:"t")
+        in
         let b = Bytes.of_string blob in
         Bytes.set b (Bytes.length b - 5)
           (Char.chr (Char.code (Bytes.get b (Bytes.length b - 5)) lxor 1));
         let _, mon_b = make_platform () in
         Alcotest.(check bool)
           "denied" true
-          (Zion.Monitor.import_cvm mon_b (Bytes.to_string b)
-          = Error Zion.Ecall.Denied));
+          (Zion.Monitor.migrate_in_prepare mon_b ~session:"t" ~epoch
+             (Bytes.to_string b)
+          = Error Zion.Ecall.Denied);
+        Alcotest.(check int) "nothing built" 0 (Zion.Monitor.cvm_count mon_b));
     Alcotest.test_case "export of a running CVM is refused" `Quick
       (fun () ->
         let _, mon = make_platform () in
@@ -206,7 +225,11 @@ let migration_tests =
         (* Created (not finalized): refuse *)
         Alcotest.(check bool)
           "bad state" true
-          (Zion.Monitor.export_cvm mon ~cvm:id = Error Zion.Ecall.Bad_state));
+          (Zion.Monitor.migrate_out_begin mon ~cvm:id ~session:"c"
+          = Error Zion.Ecall.Bad_state);
+        Alcotest.(check bool)
+          "no session opened" true
+          (Zion.Monitor.migrate_session mon ~role:`Out ~session:"c" = None));
   ]
 
 (* ---------- guest relinquish ---------- *)
