@@ -85,8 +85,13 @@ let bench_tlb_retention ~quick:_ =
     "TLB retention — VMID-tagged fast path vs flush-on-every-switch";
   let open Platform.Exp_switch in
   let iterations = 200 in
-  let faithful = measure_retention_switches ~tlb_retention:false ~iterations in
-  let retained = measure_retention_switches ~tlb_retention:true ~iterations in
+  let mode tlb_retention =
+    measure_timer_switches
+      { Zion.Monitor.default_config with tlb_retention }
+      ~iterations
+  in
+  let faithful = mode false in
+  let retained = mode true in
   let row name m =
     [
       name;
@@ -1022,20 +1027,24 @@ let bench_audit ~quick:_ =
   Metrics.Table.section "Post-run security audit";
   let tb = Platform.Testbed.create () in
   let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "audit") in
-  (match
-     Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm h ~hart:0
-       ~quantum:Platform.Testbed.quantum_cycles ~max_slices:50
-   with
-  | Hypervisor.Kvm.C_shutdown -> ()
-  | _ -> print_endline "warning: audit guest did not shut down");
-  match Zion.Monitor.audit tb.Platform.Testbed.monitor with
-  | Ok n ->
-      Printf.printf "audit: %d facts checked, no violations\n" n;
-      Ok ()
-  | Error findings ->
-      print_endline "AUDIT VIOLATIONS:";
-      List.iter print_endline findings;
-      Error (Printf.sprintf "%d audit violation(s)" (List.length findings))
+  let shut_down =
+    Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm h ~hart:0
+      ~quantum:Platform.Testbed.quantum_cycles ~max_slices:50
+    = Hypervisor.Kvm.C_shutdown
+  in
+  let violations =
+    match Zion.Monitor.audit tb.Platform.Testbed.monitor with
+    | Ok n ->
+        Printf.printf "audit: %d facts checked, no violations\n" n;
+        []
+    | Error findings ->
+        print_endline "AUDIT VIOLATIONS:";
+        List.iter print_endline findings;
+        [ Printf.sprintf "%d audit violation(s)" (List.length findings) ]
+  in
+  verdict
+    ((if shut_down then [] else [ "audit guest did not shut down" ])
+    @ violations)
 
 (* ---------- the experiment registry ---------- *)
 

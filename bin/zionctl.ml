@@ -23,6 +23,14 @@ open Cmdliner
 
 let fixed = Metrics.Table.fixed
 
+(* A verb whose guest did not run to shutdown has not shown what it
+   claims: say so and exit 1. *)
+let require_shutdown what = function
+  | Hypervisor.Kvm.C_shutdown -> ()
+  | _ ->
+      Printf.eprintf "zionctl: %s did not shut down\n" what;
+      exit 1
+
 (* ---------- boot ---------- *)
 
 let boot_cmd =
@@ -35,13 +43,12 @@ let boot_cmd =
   let run message =
     let tb = Platform.Testbed.create () in
     let handle = Platform.Testbed.cvm tb (Guest.Gprog.hello (message ^ "\n")) in
-    (match
-       Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm handle
-         ~hart:0 ~quantum:Platform.Testbed.quantum_cycles ~max_slices:100
-     with
-    | Hypervisor.Kvm.C_shutdown -> ()
-    | _ -> prerr_endline "warning: guest did not shut down");
-    print_string (Zion.Monitor.console_output tb.Platform.Testbed.monitor)
+    let outcome =
+      Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm handle
+        ~hart:0 ~quantum:Platform.Testbed.quantum_cycles ~max_slices:100
+    in
+    print_string (Zion.Monitor.console_output tb.Platform.Testbed.monitor);
+    require_shutdown "guest" outcome
   in
   Cmd.v
     (Cmd.info "boot" ~doc:"Boot a confidential VM that prints a message")
@@ -164,9 +171,10 @@ let audit_cmd =
   let run json_out =
     let tb = Platform.Testbed.create () in
     let handle = Platform.Testbed.cvm tb (Guest.Gprog.hello "audit\n") in
-    ignore
-      (Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm handle
-         ~hart:0 ~quantum:Platform.Testbed.quantum_cycles ~max_slices:100);
+    let outcome =
+      Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm handle
+        ~hart:0 ~quantum:Platform.Testbed.quantum_cycles ~max_slices:100
+    in
     let result = Zion.Monitor.audit tb.Platform.Testbed.monitor in
     if json_out then begin
       let open Metrics.Export in
@@ -195,6 +203,7 @@ let audit_cmd =
             (List.length findings);
           List.iter (fun f -> Printf.printf "  %s\n" f) findings
     end;
+    require_shutdown "audit guest" outcome;
     match result with Ok _ -> () | Error _ -> exit 1
   in
   Cmd.v
@@ -319,16 +328,6 @@ let fuzz_cmd =
              (retention on) puts the precise-shootdown machinery under \
              fire.")
   in
-  let no_channels =
-    Arg.(
-      value & flag
-      & info [ "no-channels" ]
-          ~doc:
-            "Fuzz without the inter-CVM channel actions (channel open \
-             with mutual attestation, ring-header poisoning, \
-             adversarial-argument channel calls), which are on by \
-             default.")
-  in
   let json =
     Arg.(
       value & flag
@@ -378,12 +377,12 @@ let fuzz_cmd =
     else Format.printf "%a@?" Hypervisor.Chaos.pp_sm_report r;
     if not (Hypervisor.Chaos.sm_survived r) then exit 1
   in
-  let run seed iters pool_mib no_retention no_channels json_out sm_crash =
+  let run seed iters pool_mib no_retention json_out sm_crash =
     if sm_crash then run_sm_crash json_out
     else begin
       let r =
         Hypervisor.Chaos.run ~pool_mib ~tlb_retention:(not no_retention)
-          ~channels:(not no_channels) ~seed ~iters ()
+          ~seed ~iters ()
       in
     if json_out then begin
       let open Metrics.Export in
@@ -439,8 +438,7 @@ let fuzz_cmd =
           hypervisor (or, with $(b,--sm-crash), the exhaustive \
           crash-at-every-journal-point sweep) and report survival")
     Term.(
-      const run $ seed $ iters $ pool_mib $ no_retention $ no_channels
-      $ json $ sm_crash)
+      const run $ seed $ iters $ pool_mib $ no_retention $ json $ sm_crash)
 
 (* ---------- migrate ---------- *)
 
@@ -560,14 +558,13 @@ let migrate_cmd =
         match outcome with
         | Hypervisor.Migrator.Aborted reason ->
             Printf.printf "aborted: %s — resuming on the source\n" reason;
-            (match
-               Hypervisor.Kvm.run_cvm_to_completion tb_a.Platform.Testbed.kvm
-                 handle ~hart:0 ~quantum:Platform.Testbed.quantum_cycles
-                 ~max_slices:400
-             with
-            | Hypervisor.Kvm.C_shutdown -> ()
-            | _ -> prerr_endline "warning: source guest did not shut down");
-            print_string (Zion.Monitor.console_output src)
+            let resumed =
+              Hypervisor.Kvm.run_cvm_to_completion tb_a.Platform.Testbed.kvm
+                handle ~hart:0 ~quantum:Platform.Testbed.quantum_cycles
+                ~max_slices:400
+            in
+            print_string (Zion.Monitor.console_output src);
+            require_shutdown "source guest" resumed
         | Hypervisor.Migrator.Committed id_b ->
             Printf.printf "committed: destination CVM %d owns the guest\n" id_b;
             (match

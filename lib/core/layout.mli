@@ -32,6 +32,9 @@ val virtio_mmio_gpa : int64
 
 val virtio_mmio_size : int64
 
+val is_virtio_gpa : int64 -> bool
+(** Whether a GPA lies inside the virtio-MMIO window. *)
+
 (** {2 SWIOTLB window}
 
     Canonical layout of the guest bounce-buffer area inside the shared

@@ -17,7 +17,15 @@
     varies with the exit cause (timer vs MMIO), the shared-vCPU setting,
     and the long-path option — those are the §V.B experiments. The
     cycles of the most recent and all past switches are recorded for
-    the benchmark harness. *)
+    the benchmark harness.
+
+    {2 Implementation}
+
+    This is the only public interface to the SM. The implementation is
+    split by concern into library-private modules ([Sm_state],
+    [Sm_cost], [Sm_chan], [Sm_lifecycle], [Sm_migrate], [Sm_audit],
+    [Sm_recover]) that [monitor.ml] includes; code outside the [zion]
+    library cannot name them. *)
 
 type config = {
   shared_vcpu : bool;
@@ -515,7 +523,6 @@ val prezeroed_pages : t -> int64 list
     and is charged [page_scrub] less. *)
 
 val alloc_stats : t -> cvm:int -> Hier_alloc.stats option
-val reset_stats : t -> unit
 
 val console_output : t -> string
 (** Guest console bytes forwarded by the SM to the UART. *)

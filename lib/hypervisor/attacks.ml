@@ -469,15 +469,15 @@ let refusal_judge kvm ~label ~want r =
 let register kvm ~cvm ~gpa ~size =
   Zion.Monitor.register_coalesced_mmio (Kvm.monitor kvm) ~cvm ~gpa ~size
 
-let window_end =
-  Int64.add Zion.Layout.virtio_mmio_gpa Zion.Layout.virtio_mmio_size
-
 let coalesce_zone_outside_window kvm h =
   (* Straddles the end of the window: the first byte is a device
      register, the last is not. *)
   refusal_judge kvm ~label:"zone past the virtio window"
     ~want:Zion.Ecall.Invalid_address
-    (register kvm ~cvm:(Kvm.cvm_id h) ~gpa:(Int64.sub window_end 4L) ~size:8)
+    (register kvm ~cvm:(Kvm.cvm_id h)
+       ~gpa:(Int64.add Zion.Layout.virtio_mmio_gpa
+               (Int64.sub Zion.Layout.virtio_mmio_size 4L))
+       ~size:8)
 
 let coalesce_zone_private_ram kvm h =
   refusal_judge kvm ~label:"zone over private RAM"

@@ -794,10 +794,10 @@ let audit w =
 
 (* ---------- driver ---------- *)
 
-let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
-    ?(tlb_retention = false) ?(channels = true) ~seed ~iters () =
+let run ?(pool_mib = 2) ?(tlb_retention = false) ~seed ~iters () =
   let r = rng seed in
-  let machine = Machine.create ~nharts ~dram_size:(mib dram_mib) () in
+  let dram_mib = 128 in
+  let machine = Machine.create ~nharts:2 ~dram_size:(mib dram_mib) () in
   let config =
     {
       Zion.Monitor.default_config with
@@ -812,7 +812,7 @@ let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
   | Error e -> invalid_arg ("Chaos.run: " ^ e));
   (* The far end of protocol migrations: its own machine and monitor,
      with a secure pool carved out of its own DRAM. *)
-  let dst_machine = Machine.create ~nharts ~dram_size:(mib dram_mib) () in
+  let dst_machine = Machine.create ~nharts:2 ~dram_size:(mib dram_mib) () in
   let dst_mon = Zion.Monitor.create dst_machine in
   (match
      Zion.Monitor.register_secure_region dst_mon
@@ -861,14 +861,11 @@ let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
     | n when n < 38 -> step w
     | n when n < 68 -> fuzz_ecall w
     | n when n < 72 -> coalesce_fuzz w
-    | n when n < 78 ->
-        if not channels then fuzz_ecall w
-        else begin
-          match rand_int w.r 3 with
-          | 0 -> open_channel w
-          | 1 -> chan_poison w
-          | _ -> chan_fuzz_ecall w
-        end
+    | n when n < 78 -> (
+        match rand_int w.r 3 with
+        | 0 -> open_channel w
+        | 1 -> chan_poison w
+        | _ -> chan_fuzz_ecall w)
     | n when n < 84 -> tamper_reply w
     | n when n < 89 -> tamper_subtree w
     | n when n < 94 -> poison_ring w

@@ -57,23 +57,21 @@ val survived : report -> bool
 val pp_report : Format.formatter -> report -> unit
 
 val run :
-  ?dram_mib:int ->
   ?pool_mib:int ->
-  ?nharts:int ->
   ?tlb_retention:bool ->
-  ?channels:bool ->
   seed:int ->
   iters:int ->
   unit ->
   report
-(** Build a fresh machine/monitor/KVM stack and run [iters] fuzzing
-    iterations from [seed]. Same seed, same build — same sequence:
-    failures are replayable. [tlb_retention] turns on the VMID-tagged
-    world-switch fast path, putting the precise-shootdown machinery
-    (and the audit's TLB-coherence section) under fire. [channels]
-    (default [true]) mixes in the inter-CVM channel actions: attested
-    open, ring-header poison (must degrade the channel, never the
-    endpoints), and adversarial-argument channel calls. *)
+(** Build a fresh machine/monitor/KVM stack (two harts, 128 MiB DRAM,
+    a [pool_mib] secure pool) and run [iters] fuzzing iterations from
+    [seed]. Same seed, same build — same sequence: failures are
+    replayable. [tlb_retention] turns on the VMID-tagged world-switch
+    fast path, putting the precise-shootdown machinery (and the audit's
+    TLB-coherence section) under fire. The mix includes the inter-CVM
+    channel actions: attested open, ring-header poison (must degrade the
+    channel, never the endpoints), and adversarial-argument channel
+    calls. *)
 
 (** {2 SM-crash sweeps}
 

@@ -222,11 +222,6 @@ let resume_nvm t (hart : Hart.t) ~skip =
   hart.Hart.pc <- (if skip then Int64.add csr.Csr.sepc 4L else csr.Csr.sepc);
   charge t "xret" t.cost.Cost.xret
 
-let in_virtio_window gpa =
-  (not (Xword.ult gpa Zion.Layout.virtio_mmio_gpa))
-  && Xword.ult gpa
-       (Int64.add Zion.Layout.virtio_mmio_gpa Zion.Layout.virtio_mmio_size)
-
 let handle_nvm_sbi t (hart : Hart.t) =
   let a7 = Hart.get_reg hart 17 and a0 = Hart.get_reg hart 10 in
   if a7 = Zion.Ecall.sbi_legacy_putchar then begin
@@ -339,7 +334,7 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
                 (Int64.shift_left csr.Csr.htval 2)
                 (Int64.logand csr.Csr.stval 3L)
             in
-            if in_virtio_window gpa then begin
+            if Zion.Layout.is_virtio_gpa gpa then begin
               (* Direct MMIO emulation in HS: the 5,000-cycle path. *)
               match
                 Zion.Vcpu.decode_mmio hart.Hart.regs ~htinst:csr.Csr.htinst

@@ -46,6 +46,11 @@ val run_normal_vm :
 (** KVM vCPU loop: runs the guest, servicing stage-2 faults, MMIO and
     SBI calls in HS mode; returns on timer, shutdown, or step budget. *)
 
+val kvm_fault_cost : Riscv.Cost.t -> int
+(** Modeled cycle cost of one normal-VM stage-2 fault, trap to [xret]:
+    the 39,607-cycle composition of §V.C's baseline column, charged by
+    [run_normal_vm] and priced with by the event model. *)
+
 val nvm_fault_log : t -> int list
 (** Cycles charged per normal-VM stage-2 fault, most recent first. *)
 

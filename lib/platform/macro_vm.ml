@@ -39,19 +39,9 @@ let add_cycles t c = t.work <- t.work +. float_of_int c
    fresh 64-page block must be grabbed. *)
 let add_faults t ~pages =
   if pages > 0 then begin
-    let c = t.cost in
     match t.kind with
     | Normal ->
-        (* same composition as Hypervisor.Kvm.kvm_fault_cost *)
-        let kvm =
-          c.Riscv.Cost.trap_entry + c.Riscv.Cost.kvm_save
-          + c.Riscv.Cost.kvm_dispatch + c.Riscv.Cost.kvm_memslot
-          + c.Riscv.Cost.kvm_host_alloc + c.Riscv.Cost.page_scrub
-          + c.Riscv.Cost.kvm_map
-          + (3 * c.Riscv.Cost.page_walk_step)
-          + c.Riscv.Cost.kvm_fence + c.Riscv.Cost.kvm_restore
-          + c.Riscv.Cost.xret
-        in
+        let kvm = Hypervisor.Kvm.kvm_fault_cost t.cost in
         t.fault <- t.fault +. (float_of_int pages *. float_of_int kvm)
     | Confidential ->
         (* the monitor's own composition, on a fresh (dirty) pool *)

@@ -25,17 +25,17 @@ let switch_tests =
           "exit unshared" 3267. u.Platform.Exp_switch.exit_mean);
     Alcotest.test_case "timer switches hit §V.B.2 calibration" `Slow
       (fun () ->
-        let s =
-          Platform.Exp_switch.measure_timer_switches ~long_path:false
-            ~iterations:20
+        let timer config =
+          (Platform.Exp_switch.measure_timer_switches config ~iterations:20)
+            .Platform.Exp_switch.sw
         in
+        let s = timer Zion.Monitor.default_config in
         Alcotest.(check (float 0.5))
           "short entry" 4028. s.Platform.Exp_switch.entry_mean;
         Alcotest.(check (float 0.5))
           "short exit" 2406. s.Platform.Exp_switch.exit_mean;
         let l =
-          Platform.Exp_switch.measure_timer_switches ~long_path:true
-            ~iterations:20
+          timer { Zion.Monitor.default_config with long_path = true }
         in
         Alcotest.(check (float 0.5))
           "long entry" 7282. l.Platform.Exp_switch.entry_mean;

@@ -18,9 +18,9 @@ let ok what = function
   | Error e -> Alcotest.failf "%s: %s" what (Zion.Ecall.error_to_string e)
 
 (* One hart, so the stage-3 region setup is exactly the composition's. *)
-let platform ?(pool = mib 8) () =
+let platform ?config ?(pool = mib 8) () =
   let machine = Machine.create ~dram_size:(mib 256) () in
-  let mon = Zion.Monitor.create machine in
+  let mon = Zion.Monitor.create ?config machine in
   ignore
     (ok "pool"
        (Zion.Monitor.register_secure_region mon ~base:pool_base ~size:pool));
@@ -134,14 +134,19 @@ let stage3_fault ?(between = ignore) machine mon id ~region =
         + c.Cost.trap_entry + fault2 )
   | _ -> assert false
 
-let check_fault mon ~stage ~prezeroed (got_stage, logged, executed) =
+let check_fault ~config mon ~stage ~prezeroed (got_stage, logged, executed) =
   let want = Zion.Monitor.fault_cost ~prezeroed mon stage in
   check_stage stage got_stage;
-  Alcotest.(check int) "logged = analytic" want logged;
-  Alcotest.(check int) "executed = analytic" want executed
+  Alcotest.(check int) (config ^ ": logged = analytic") want logged;
+  Alcotest.(check int) (config ^ ": executed = analytic") want executed
 
-let analytic_equals_executed () =
+(* Every fault stage, dirty and prezeroed, under one configuration:
+   stage 3's composition depends on it through the expansion round
+   trip. *)
+let analytic_equals_executed_under (name, config) =
   let open Zion.Hier_alloc in
+  let check_fault = check_fault ~config:name in
+  let platform = platform ~config in
   (* Stage 1: a one-page image leaves the load block's cache warm. *)
   let machine, mon = platform () in
   let a = make_cvm mon touch_one in
@@ -179,6 +184,17 @@ let analytic_equals_executed () =
   check_fault mon ~stage:Stage3_retry ~prezeroed:true
     (stage3_fault ~between machine mon b ~region:(region 3));
   audit_clean mon
+
+let analytic_equals_executed () =
+  let d = Zion.Monitor.default_config in
+  List.iter analytic_equals_executed_under
+    [
+      ("default", d);
+      ("unshared", { d with shared_vcpu = false });
+      ("long-path", { d with long_path = true });
+      ("retention", { d with tlb_retention = true });
+      ("validate-shared", { d with validate_shared_on_entry = true });
+    ]
 
 (* Three lifecycles of the same reader guest: fresh pool (dirty), reuse
    (prezeroed), and reuse after a nonzero byte was written straight into
